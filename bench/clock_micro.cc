@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the clock machinery: the raw
 // CPU cost of stamping, checking and merging matrix clocks at domain
-// sizes from 4 to 256, plus stamp codec cost in both modes.  These are
-// the per-entry costs the simulation's CostModel abstracts; the O(n^2)
-// growth of the full-matrix columns is the paper's Section 3 problem
-// statement, measured directly.
+// sizes from 4 to 256 (32 is the repo benchmark's flat_wide domain),
+// plus stamp codec cost in both modes.  These are the per-entry costs
+// the simulation's CostModel abstracts; the O(n^2) growth of the
+// full-matrix columns is the paper's Section 3 problem statement,
+// measured directly.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -102,7 +103,19 @@ void BM_StampEncodeDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(stamp.EncodedSize()));
 }
-BENCHMARK(BM_StampEncodeDecode)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_StampEncodeDecode)->Arg(4)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
+
+// The wire-accounting query the Channel asks once per send (stats) and
+// once per frame (buffer sizing).
+void BM_StampEncodedSize(benchmark::State& state) {
+  const std::size_t size = static_cast<std::size_t>(state.range(0));
+  CausalDomainClock clock(DomainServerId(0), size, StampMode::kFullMatrix);
+  const Stamp stamp = clock.PrepareSend(DomainServerId(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stamp.EncodedSize());
+  }
+}
+BENCHMARK(BM_StampEncodedSize)->Arg(4)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
 
 // The four causal_core choices a config can name, swept side by side:
 // the paper's matrix baseline in both stamp modes, the Drummond-Barbosa
@@ -175,6 +188,11 @@ void BM_ClockStatePersistImage(benchmark::State& state) {
         static_cast<double>(writer.size());
   }
 }
-BENCHMARK(BM_ClockStatePersistImage)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_ClockStatePersistImage)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(256);
 
 }  // namespace

@@ -74,11 +74,10 @@ void CausalDomainClock::PrepareSendBatch(DomainServerId dest,
 
 CheckResult CausalDomainClock::Check(DomainServerId src,
                                      const Stamp& stamp) const {
-  assert(src.value() < matrix_.size());
-  const StampEntry* own = stamp.Find(src, self_);
   // PrepareSend always bumps M[src][dest] last, so the entry is present
   // in both full and delta stamps; a stamp without it is corrupt.
-  assert(own != nullptr && "stamp lacks its own send counter");
+  const StampEntry* own = FindOwnEntry(matrix_.size(), src, self_, stamp);
+  if (own == nullptr) return CheckResult::kMalformed;
   const std::uint64_t delivered = matrix_.at(src, self_);
   if (own->value <= delivered) return CheckResult::kDuplicate;
   if (own->value > delivered + 1) return CheckResult::kHold;  // FIFO gap

@@ -41,6 +41,9 @@ enum class CheckResult : std::uint8_t {
   kDeliver,    // all causal predecessors delivered; deliver now
   kHold,       // some predecessor missing; park in the hold-back queue
   kDuplicate,  // already delivered (retransmission); drop
+  kMalformed,  // no correct sender stamps this: a coordinate outside the
+               // domain, or the sender's own counter missing; drop
+               // without acknowledging
 };
 
 class CausalDomainClock {
@@ -70,7 +73,8 @@ class CausalDomainClock {
                         std::vector<Stamp>& out);
 
   // Receiver side, step 1: classify an incoming message from `src`
-  // stamped `stamp` without changing any state.
+  // stamped `stamp` without changing any state.  Stamps arrive from the
+  // network, so a malformed one is classified, never trusted.
   [[nodiscard]] CheckResult Check(DomainServerId src,
                                   const Stamp& stamp) const;
 

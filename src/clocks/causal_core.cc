@@ -82,9 +82,8 @@ Stamp ReducedMatrixCore::PrepareSend(DomainServerId dest) {
 
 CheckResult ReducedMatrixCore::CheckReceive(DomainServerId src,
                                             const Stamp& stamp) const {
-  assert(src.value() < matrix_.size());
-  const StampEntry* own = stamp.Find(src, self_);
-  assert(own != nullptr && "stamp lacks its own send counter");
+  const StampEntry* own = FindOwnEntry(matrix_.size(), src, self_, stamp);
+  if (own == nullptr) return CheckResult::kMalformed;
   const std::uint64_t delivered = matrix_.at(src, self_);
   if (own->value <= delivered) return CheckResult::kDuplicate;
   if (own->value > delivered + 1) return CheckResult::kHold;  // FIFO gap
@@ -207,10 +206,18 @@ Stamp HybridBufferingCore::PrepareSend(DomainServerId dest) {
 
 CheckResult HybridBufferingCore::CheckReceive(DomainServerId src,
                                               const Stamp& stamp) const {
-  assert(src.value() < size_);
-  assert(!stamp.entries.empty() && "hybrid stamp lacks its FIFO header");
+  // Malformed: no FIFO header for the src -> self link, or a barrier
+  // or gossip coordinate (flag stripped) outside the domain.
+  if (src.value() >= size_ || stamp.entries.empty() ||
+      stamp.entries.front().row != src || stamp.entries.front().col != self_) {
+    return CheckResult::kMalformed;
+  }
+  for (const StampEntry& e : stamp.entries) {
+    if ((e.row.value() & ~kHeardFlag) >= size_ || e.col.value() >= size_) {
+      return CheckResult::kMalformed;
+    }
+  }
   const StampEntry& header = stamp.entries.front();
-  assert(header.row == src && "hybrid stamp header sender mismatch");
   const std::uint64_t delivered = delivered_[src.value()];
   if (header.value <= delivered) return CheckResult::kDuplicate;
   if (header.value > delivered + 1) return CheckResult::kHold;  // FIFO gap
@@ -323,13 +330,13 @@ void HybridBufferingCore::EncodeState(ByteWriter& out) const {
   out.WriteU8(static_cast<std::uint8_t>(CausalCoreKind::kHybrid));
   out.WriteU16(self_.value());
   out.WriteVarU64(size_);
-  for (std::uint64_t v : sent_) out.WriteVarU64(v);
-  for (std::uint64_t v : delivered_) out.WriteVarU64(v);
-  for (std::uint64_t v : heard_) out.WriteVarU64(v);
+  out.WriteVarU64s(sent_);
+  out.WriteVarU64s(delivered_);
+  out.WriteVarU64s(heard_);
   out.WriteVarU64(tick_);
-  for (std::uint64_t v : delivered_tick_) out.WriteVarU64(v);
-  for (std::uint64_t v : sent_tick_) out.WriteVarU64(v);
-  for (std::uint64_t v : heard_tick_) out.WriteVarU64(v);
+  out.WriteVarU64s(delivered_tick_);
+  out.WriteVarU64s(sent_tick_);
+  out.WriteVarU64s(heard_tick_);
   out.WriteVarU64(barriers_.size());
   for (const auto& [link, seq] : barriers_) {
     out.WriteU16(link.first);

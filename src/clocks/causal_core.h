@@ -94,7 +94,10 @@ class CausalCore {
                                 std::vector<Stamp>& out);
 
   // Receiver side, step 1: classify an incoming message from `src`
-  // stamped `stamp` without changing any state.
+  // stamped `stamp` without changing any state.  Every core returns
+  // kMalformed for a stamp it could index out of bounds or that lacks
+  // the src -> self link's counter, so OnDeliver only ever sees stamps
+  // that passed this check.
   [[nodiscard]] virtual CheckResult CheckReceive(DomainServerId src,
                                                 const Stamp& stamp) const = 0;
 

@@ -48,7 +48,8 @@ class HoldbackQueue {
             progressed = true;
             break;
           }
-          case CheckResult::kDuplicate: {
+          case CheckResult::kDuplicate:
+          case CheckResult::kMalformed: {  // owners check before holding
             M message = std::move(*it);
             it = pending_.erase(it);
             drop(std::move(message));

@@ -45,7 +45,7 @@ MatrixClock MatrixClock::Remap(
 
 void MatrixClock::Encode(ByteWriter& out) const {
   out.WriteVarU64(size_);
-  for (std::uint64_t cell : cells_) out.WriteVarU64(cell);
+  out.WriteVarU64s(cells_);
 }
 
 Result<MatrixClock> MatrixClock::Decode(ByteReader& in) {

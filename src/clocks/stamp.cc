@@ -10,11 +10,12 @@ const StampEntry* Stamp::Find(DomainServerId row, DomainServerId col) const {
 }
 
 void Stamp::Encode(ByteWriter& out) const {
-  out.WriteVarU64(entries.size());
+  std::uint8_t* p = out.Extend(EncodedSize());
+  p = ByteWriter::PutVarU64(p, entries.size());
   for (const StampEntry& e : entries) {
-    out.WriteVarU32(e.row.value());
-    out.WriteVarU32(e.col.value());
-    out.WriteVarU64(e.value);
+    p = ByteWriter::PutVarU64(p, e.row.value());
+    p = ByteWriter::PutVarU64(p, e.col.value());
+    p = ByteWriter::PutVarU64(p, e.value);
   }
 }
 
@@ -28,26 +29,42 @@ Result<Stamp> Stamp::Decode(ByteReader& in) {
     return Status::DataLoss("stamp entry count exceeds input");
   }
   Stamp stamp;
-  stamp.entries.reserve(static_cast<std::size_t>(count.value()));
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto row = in.ReadVarU32();
-    if (!row.ok()) return row.status();
-    auto col = in.ReadVarU32();
-    if (!col.ok()) return col.status();
-    auto value = in.ReadVarU64();
-    if (!value.ok()) return value.status();
-    stamp.entries.push_back(StampEntry{
-        DomainServerId(static_cast<std::uint16_t>(row.value())),
-        DomainServerId(static_cast<std::uint16_t>(col.value())),
-        value.value()});
+  stamp.entries.resize(static_cast<std::size_t>(count.value()));
+  for (StampEntry& e : stamp.entries) {
+    std::uint64_t row = 0;
+    std::uint64_t col = 0;
+    if (!in.ReadVarU64(row) || !in.ReadVarU64(col) ||
+        !in.ReadVarU64(e.value)) {
+      return Status::DataLoss("truncated or overlong varint in stamp");
+    }
+    if (row > 0xFFFFFFFFull || col > 0xFFFFFFFFull) {
+      return Status::DataLoss("varint exceeds 32 bits");
+    }
+    e.row = DomainServerId(static_cast<std::uint16_t>(row));
+    e.col = DomainServerId(static_cast<std::uint16_t>(col));
   }
   return stamp;
 }
 
 std::size_t Stamp::EncodedSize() const {
-  ByteWriter writer;
-  Encode(writer);
-  return writer.size();
+  std::size_t size = ByteWriter::VarU64Size(entries.size());
+  for (const StampEntry& e : entries) {
+    size += ByteWriter::VarU64Size(e.row.value()) +
+            ByteWriter::VarU64Size(e.col.value()) +
+            ByteWriter::VarU64Size(e.value);
+  }
+  return size;
+}
+
+const StampEntry* FindOwnEntry(std::size_t size, DomainServerId src,
+                               DomainServerId self, const Stamp& stamp) {
+  if (src.value() >= size) return nullptr;
+  const StampEntry* own = nullptr;
+  for (const StampEntry& e : stamp.entries) {
+    if (e.row.value() >= size || e.col.value() >= size) return nullptr;
+    if (own == nullptr && e.row == src && e.col == self) own = &e;
+  }
+  return own;
 }
 
 std::ostream& operator<<(std::ostream& os, const Stamp& stamp) {

@@ -43,6 +43,15 @@ struct Stamp {
   [[nodiscard]] std::size_t EncodedSize() const;
 };
 
+// Validation shared by the matrix-shaped cores: returns the (src, self)
+// send-counter entry of a stamp received from `src`, or nullptr when
+// that entry is missing or any coordinate (src included) lies outside
+// a domain of `size` members -- a stamp no correct sender produces.
+[[nodiscard]] const StampEntry* FindOwnEntry(std::size_t size,
+                                             DomainServerId src,
+                                             DomainServerId self,
+                                             const Stamp& stamp);
+
 std::ostream& operator<<(std::ostream& os, const Stamp& stamp);
 
 }  // namespace cmom::clocks

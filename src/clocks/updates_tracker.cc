@@ -76,11 +76,17 @@ UpdatesTracker UpdatesTracker::Remap(
 void UpdatesTracker::Encode(ByteWriter& out) const {
   out.WriteVarU64(size_);
   out.WriteVarU64(state_);
+  // Each cell is a varint state plus a fixed u32 writer id.
+  std::size_t size = cells_.size() * sizeof(std::uint32_t);
   for (const CellMeta& cell : cells_) {
-    out.WriteVarU64(cell.state);
-    out.WriteU32(cell.writer);
+    size += ByteWriter::VarU64Size(cell.state);
   }
-  for (std::uint64_t s : node_state_) out.WriteVarU64(s);
+  std::uint8_t* p = out.Extend(size);
+  for (const CellMeta& cell : cells_) {
+    p = ByteWriter::PutVarU64(p, cell.state);
+    p = ByteWriter::PutU32(p, cell.writer);
+  }
+  out.WriteVarU64s(node_state_);
 }
 
 Result<UpdatesTracker> UpdatesTracker::Decode(ByteReader& in) {

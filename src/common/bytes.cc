@@ -4,12 +4,11 @@
 
 namespace cmom {
 
-void ByteWriter::WriteVarU64(std::uint64_t v) {
-  while (v >= 0x80) {
-    buffer_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buffer_.push_back(static_cast<std::uint8_t>(v));
+void ByteWriter::WriteVarU64s(std::span<const std::uint64_t> values) {
+  std::size_t size = 0;
+  for (std::uint64_t v : values) size += VarU64Size(v);
+  std::uint8_t* p = Extend(size);
+  for (std::uint64_t v : values) p = PutVarU64(p, v);
 }
 
 void ByteWriter::WriteBytes(std::span<const std::uint8_t> data) {
@@ -35,7 +34,7 @@ Result<std::uint64_t> ByteReader::ReadU64() {
   return ReadLittleEndian<std::uint64_t>();
 }
 
-Result<std::uint64_t> ByteReader::ReadVarU64() {
+Result<std::uint64_t> ByteReader::ReadVarU64Slow() {
   std::uint64_t v = 0;
   int shift = 0;
   while (pos_ < data_.size()) {

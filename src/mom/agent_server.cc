@@ -294,10 +294,7 @@ Status AgentServer::Boot() {
   // are handed straight to their shards, in QueueIN order.
   Post([this]() -> std::size_t {
     for (const OutEntry& entry : queue_out_) {
-      DataFrame frame{entry.message, entry.domain, entry.stamp,
-                      options_.epoch, incarnation_,
-                      CoreTagFor(entry.domain)};
-      EmitFrame(entry.next_hop, frame.Serialize());
+      EmitOutEntry(entry);
       ScheduleRetransmit(entry.message.id, 0);
       // Each resume emission is a first emission under THIS
       // incarnation's numbering: the peer observed the new incarnation
@@ -596,6 +593,17 @@ std::size_t AgentServer::ProcessDataFrame(ServerId from, DataFrame frame) {
     case clocks::CheckResult::kDuplicate: {
       ++stats_.duplicates_dropped;
       break;  // already durable; just re-acknowledge
+    }
+    case clocks::CheckResult::kMalformed: {
+      // A stamp no correct sender produces (corruption or a hostile
+      // peer): merging it could index outside the clock.  Dropped
+      // without an ack, so a correct sender's retransmission is still
+      // taken.
+      ++stats_.malformed_frames;
+      CMOM_LOG(kWarning) << to_string(self_) << ": malformed stamp from "
+                         << to_string(from) << " in "
+                         << to_string(frame.domain);
+      return 0;
     }
   }
   if (options_.flow.enabled) {
@@ -1014,12 +1022,17 @@ std::size_t AgentServer::EnqueueStampedLocked(OutEntry entry) {
     // admitted by one, forever).
     link.Admit();
   }
-  const OutEntry& stored = queue_out_.back();
-  DataFrame frame{stored.message, stored.domain, stored.stamp,
-                  options_.epoch, incarnation_, CoreTagFor(stored.domain)};
-  EmitFrame(hop, frame.Serialize());
+  EmitOutEntry(queue_out_.back());
   ScheduleRetransmit(id, 0);
   return entries;
+}
+
+void AgentServer::EmitOutEntry(const OutEntry& entry) {
+  EmitFrame(entry.next_hop,
+            DataFrameView{entry.message, entry.domain, entry.stamp,
+                          options_.epoch, incarnation_,
+                          CoreTagFor(entry.domain)}
+                .Serialize());
 }
 
 void AgentServer::EmitFrame(ServerId to, Bytes bytes) {
@@ -1046,10 +1059,7 @@ void AgentServer::ScheduleRetransmit(MessageId id,
       }
       ++entry.attempts;
       ++stats_.retransmissions;
-      DataFrame frame{entry.message, entry.domain, entry.stamp,
-                      options_.epoch, incarnation_,
-                      CoreTagFor(entry.domain)};
-      EmitFrame(entry.next_hop, frame.Serialize());
+      EmitOutEntry(entry);
       ScheduleRetransmit(id, entry.attempts);
       return 0;
     });
@@ -1092,11 +1102,8 @@ std::size_t AgentServer::ReleaseBlocked(ServerId peer, bool force) {
     auto qit = queue_out_index_.find(id);
     if (qit == queue_out_index_.end()) continue;  // retired before emission
     link.Admit();
-    OutEntry& entry = *qit->second;
-    DataFrame frame{entry.message, entry.domain, entry.stamp, options_.epoch,
-                    incarnation_, CoreTagFor(entry.domain)};
-    EmitFrame(entry.next_hop, frame.Serialize());
-    ScheduleRetransmit(id, entry.attempts);
+    EmitOutEntry(*qit->second);
+    ScheduleRetransmit(id, qit->second->attempts);
     ++released;
   }
   return released;
@@ -1122,12 +1129,8 @@ void AgentServer::ScheduleCreditProbe(ServerId peer) {
         auto qit = queue_out_index_.find(id);
         if (qit == queue_out_index_.end()) continue;
         it->second.Admit();
-        OutEntry& entry = *qit->second;
-        DataFrame frame{entry.message, entry.domain, entry.stamp,
-                        options_.epoch, incarnation_,
-                        CoreTagFor(entry.domain)};
-        EmitFrame(entry.next_hop, frame.Serialize());
-        ScheduleRetransmit(id, entry.attempts);
+        EmitOutEntry(*qit->second);
+        ScheduleRetransmit(id, qit->second->attempts);
         break;  // one frame per probe: solicit, don't flood
       }
       if (it->second.paused()) ScheduleCreditProbe(peer);
@@ -1579,8 +1582,12 @@ void AgentServer::PersistClocks(bool force) {
     if (!force && item.persisted_clock_version == item.core->version()) {
       continue;
     }
-    ByteWriter out;
+    // The image replaces the previous one, which the store hands back to
+    // the pool; drawing this one from the pool keeps that loop closed.
+    // It is a few varint bytes longer than the last one at most.
+    ByteWriter out = PooledWriter(item.clock_image_bytes + 16);
     item.core->EncodeState(out);
+    item.clock_image_bytes = out.size();
     StorePut(ClockKey(item.deployment_index), std::move(out).Take());
     item.persisted_clock_version = item.core->version();
   }

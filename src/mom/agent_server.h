@@ -199,6 +199,9 @@ struct ServerStats {
   // match the receiving domain's active core: the stamp is encoded in a
   // coordinate system this server does not run.
   std::uint64_t core_fenced_frames = 0;
+  // Data frames dropped (unacked) because the domain's causal core
+  // classified their stamp as malformed (clocks::CheckResult).
+  std::uint64_t malformed_frames = 0;
   // SendMessage calls rejected while an epoch fence was up.
   std::uint64_t fenced_sends_rejected = 0;
   // --- flow control (src/flow) ---------------------------------------
@@ -399,6 +402,7 @@ class AgentServer {
     // core->version() at the last durable write; the core image is
     // re-persisted only when the live version differs.
     std::uint64_t persisted_clock_version = 0;
+    std::size_t clock_image_bytes = 0;  // size of the last persisted image
   };
 
   struct OutEntry {
@@ -450,6 +454,9 @@ class AgentServer {
   // Shared tail of both paths: persists, enqueues and emits one
   // already-stamped OutEntry.  Returns clock entries touched.
   std::size_t EnqueueStampedLocked(OutEntry entry);
+  // Emits (or re-emits) one QueueOUT entry as a data frame of the
+  // current epoch, serialized straight from the entry.
+  void EmitOutEntry(const OutEntry& entry);
   void EmitFrame(ServerId to, Bytes bytes);
   // Records an accepted message for the end-of-batch coalesced ack.
   void StageAck(ServerId peer, MessageId id);

@@ -42,6 +42,14 @@ void Message::Encode(ByteWriter& out) const {
   out.WriteBytes(payload);
 }
 
+std::size_t Message::EncodedSize() const {
+  return 2 + ByteWriter::VarU64Size(id.seq) + 2 +
+         ByteWriter::VarU64Size(from.local) + 2 +
+         ByteWriter::VarU64Size(to.local) +
+         ByteWriter::VarU64Size(subject.size()) + subject.size() +
+         ByteWriter::VarU64Size(payload.size()) + payload.size();
+}
+
 Result<Message> Message::Decode(ByteReader& in) {
   auto id = DecodeMessageId(in);
   if (!id.ok()) return id.status();
@@ -62,36 +70,33 @@ Result<Message> Message::Decode(ByteReader& in) {
   return message;
 }
 
-void DataFrame::SerializeInto(ByteWriter& out) const {
+Bytes DataFrameView::Serialize() const {
+  // Optional trailers: incarnation (flow restart detection) then the
+  // causal-core tag.  0 = absent for both, keeping matrix-core frames
+  // byte-identical to the pre-flow/pre-core layout; a non-zero core tag
+  // needs the incarnation slot filled so decode stays positional.
+  const bool has_incarnation = incarnation != 0 || core_tag != 0;
+  const std::size_t size =
+      1 + message.EncodedSize() + 2 + ByteWriter::VarU64Size(epoch) +
+      stamp.EncodedSize() +
+      (has_incarnation ? ByteWriter::VarU64Size(incarnation) : 0) +
+      (core_tag != 0 ? ByteWriter::VarU64Size(core_tag) : 0);
+  // The buffer comes from the calling thread's pool, so a steady-state
+  // emit path allocates nothing per frame.
+  ByteWriter out = PooledWriter(size);
   out.WriteU8(static_cast<std::uint8_t>(FrameType::kData));
   message.Encode(out);
   out.WriteU16(domain.value());
   out.WriteVarU64(epoch);
   stamp.Encode(out);
-  // Optional trailers: incarnation (flow restart detection) then the
-  // causal-core tag.  0 = absent for both, keeping matrix-core frames
-  // byte-identical to the pre-flow/pre-core layout; a non-zero core tag
-  // needs the incarnation slot filled so decode stays positional.
-  if (incarnation != 0 || core_tag != 0) out.WriteVarU64(incarnation);
+  if (has_incarnation) out.WriteVarU64(incarnation);
   if (core_tag != 0) out.WriteVarU64(core_tag);
-}
-
-Bytes DataFrame::Serialize() const {
-  // Size hint: frame type + domain + ids/subject/payload + stamp, with
-  // a small slop for the varint headers; the buffer comes from the
-  // calling thread's pool, so a steady-state emit path allocates
-  // nothing per frame.
-  ByteWriter out = PooledWriter(16 + message.subject.size() +
-                                message.payload.size() + stamp.EncodedSize());
-  SerializeInto(out);
   return std::move(out).Take();
 }
 
-std::size_t DataFrame::SerializedSize() const {
-  Bytes encoded = Serialize();
-  const std::size_t size = encoded.size();
-  BufferPool::Release(std::move(encoded));
-  return size;
+Bytes DataFrame::Serialize() const {
+  return DataFrameView{message, domain, stamp, epoch, incarnation, core_tag}
+      .Serialize();
 }
 
 Result<DataFrame> DataFrame::Deserialize(std::span<const std::uint8_t> bytes) {

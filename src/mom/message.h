@@ -36,6 +36,8 @@ struct Message {
 
   void Encode(ByteWriter& out) const;
   [[nodiscard]] static Result<Message> Decode(ByteReader& in);
+  // Exact number of bytes Encode() appends.
+  [[nodiscard]] std::size_t EncodedSize() const;
 };
 
 enum class FrameType : std::uint8_t { kData = 1, kAck = 2 };
@@ -68,16 +70,27 @@ struct DataFrame {
 
   friend bool operator==(const DataFrame&, const DataFrame&) = default;
 
-  // Serialize() draws its buffer from the calling thread's BufferPool;
-  // the receiving decode releases it.  SerializeInto appends to a
-  // caller-owned writer (batched encode paths).
+  // Draws an exactly sized buffer from the calling thread's BufferPool;
+  // the receiving decode releases it.
   [[nodiscard]] Bytes Serialize() const;
-  void SerializeInto(ByteWriter& out) const;
   [[nodiscard]] static Result<DataFrame> Deserialize(
       std::span<const std::uint8_t> bytes);
+};
 
-  // Frame body without re-serializing twice; used for wire accounting.
-  [[nodiscard]] std::size_t SerializedSize() const;
+// The fields of a DataFrame, borrowed from wherever they already live.
+// The Channel's emission and retransmission paths serialize straight
+// from a QueueOUT entry through this view instead of first copying its
+// payload and stamp into a DataFrame.  Same bytes as
+// DataFrame::Serialize, which goes through it too.
+struct DataFrameView {
+  const Message& message;
+  DomainId domain;
+  const clocks::Stamp& stamp;
+  std::uint64_t epoch = 0;
+  std::uint64_t incarnation = 0;
+  std::uint8_t core_tag = 0;
+
+  [[nodiscard]] Bytes Serialize() const;
 };
 
 struct AckFrame {

@@ -177,6 +177,38 @@ INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreCodec,
                                CausalCoreKindName(info.param));
                          });
 
+// Stamps arrive from the network: every core must classify a stamp it
+// could index out of bounds, or one lacking the sender's counter for
+// the src -> self link, as malformed instead of trusting it.
+TEST_P(CausalCoreCodec, MalformedStampsAreClassifiedNotTrusted) {
+  const CausalCoreKind kind = GetParam();
+  auto a = MakeCausalCore(kind, D(0), 3, StampMode::kUpdates);
+  auto b = MakeCausalCore(kind, D(1), 3, StampMode::kUpdates);
+  auto c = MakeCausalCore(kind, D(2), 3, StampMode::kUpdates);
+  Stir(*a, *b, *c);
+  const Stamp good = a->PrepareSend(D(1));
+  ASSERT_EQ(b->CheckReceive(D(0), good), CheckResult::kDeliver);
+
+  Stamp out_of_range = good;
+  out_of_range.entries.push_back({D(40000), D(40000), 1});
+  EXPECT_EQ(b->CheckReceive(D(0), out_of_range), CheckResult::kMalformed);
+  Stamp bad_col = good;
+  bad_col.entries.push_back({D(0), D(3), 1});
+  EXPECT_EQ(b->CheckReceive(D(0), bad_col), CheckResult::kMalformed);
+
+  Stamp headless = good;
+  std::erase_if(headless.entries, [](const StampEntry& e) {
+    return e.row == D(0) && e.col == D(1);
+  });
+  EXPECT_EQ(b->CheckReceive(D(0), headless), CheckResult::kMalformed);
+  EXPECT_EQ(b->CheckReceive(D(0), Stamp{}), CheckResult::kMalformed);
+  EXPECT_EQ(b->CheckReceive(D(3), good), CheckResult::kMalformed);
+
+  // Classification changed nothing: the good stamp still delivers.
+  ASSERT_EQ(b->CheckReceive(D(0), good), CheckResult::kDeliver);
+  b->OnDeliver(D(0), good);
+}
+
 TEST(CausalCoreCodecCompat, LegacyMatrixImageDecodesAsMatrixCore) {
   CausalDomainClock clock(D(1), 3, StampMode::kUpdates);
   CausalDomainClock peer(D(0), 3, StampMode::kUpdates);

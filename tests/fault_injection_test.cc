@@ -23,6 +23,10 @@ struct FaultCase {
   double jitter;
 };
 
+// Without a printer gtest dumps the raw bytes, `name` pointer included,
+// into the listed test name -- which then changes with every load address.
+void PrintTo(const FaultCase& fault, std::ostream* os) { *os << fault.name; }
+
 class FaultSweep
     : public ::testing::TestWithParam<std::tuple<FaultCase, std::uint64_t>> {
 };

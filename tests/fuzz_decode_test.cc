@@ -4,6 +4,9 @@
 // "fuzzing" is deterministic (seeded) so failures replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "clocks/causal_clock.h"
 #include "clocks/causal_core.h"
 #include "clocks/matrix_clock.h"
@@ -127,19 +130,50 @@ TEST_P(DecodeFuzz, ConfigParserNeverCrashes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecodeFuzz, ::testing::Values(1, 2, 3, 4));
 
-TEST(GarbageFrames, LiveServerSurvivesJunkFromTheNetwork) {
-  // Bare setup: S0's endpoint is held by the test (a malicious or
-  // broken peer), S1 runs a real server.  Junk from S0 must be
-  // logged-and-dropped while S1 keeps serving local traffic.
-  // The junk provokes (expected) warnings; keep the test log quiet.
-  const LogLevel saved_level = GetLogLevel();
-  SetLogLevel(LogLevel::kOff);
-  auto deployment =
-      domains::Deployment::Create(domains::topologies::Flat(2)).value();
+// A well-formed data frame from S0's agent 1 to S1's agent 1 in the
+// flat domain D0, carrying `stamp`.
+mom::DataFrame FrameFromS0(std::uint64_t seq, clocks::Stamp stamp,
+                           clocks::CausalCoreKind core) {
+  mom::DataFrame frame;
+  frame.message.id = MessageId{ServerId(0), seq};
+  frame.message.from = AgentId{ServerId(0), 1};
+  frame.message.to = AgentId{ServerId(1), 1};
+  frame.domain = DomainId(0);
+  frame.stamp = std::move(stamp);
+  frame.core_tag = static_cast<std::uint8_t>(core);
+  return frame;
+}
+
+clocks::StampEntry Entry(std::uint16_t row, std::uint16_t col,
+                         std::uint64_t value) {
+  return {DomainServerId(row), DomainServerId(col), value};
+}
+
+struct JunkOutcome {
+  mom::ServerStats stats;
+  std::vector<MessageId> acked;  // ids S1 acknowledged back to S0
+  std::uint64_t delivered = 0;   // messages S1's sink agent received
+};
+
+// Bare setup over `config` (two servers): S0's endpoint is held by the
+// test (a malicious or broken peer), S1 runs a real server.  The junk
+// and frames from S0 must be dropped or handled while S1 keeps serving
+// local traffic: five local sends are delivered afterwards.
+JunkOutcome SendJunkToLiveServer(domains::MomConfig config,
+                                 const std::vector<Bytes>& junk) {
+  JunkOutcome outcome;
+  auto deployment = domains::Deployment::Create(std::move(config)).value();
   sim::Simulator simulator;
   net::SimRuntime runtime(simulator);
   net::SimNetwork network(simulator, net::CostModel{});
   auto attacker = network.CreateEndpoint(ServerId(0)).value();
+  attacker->SetReceiveHandler([&outcome](ServerId, Bytes frame) {
+    auto ack = mom::DeserializeAck(frame);
+    if (!ack.ok()) return;
+    for (const MessageId& id : ack.value().messages) {
+      outcome.acked.push_back(id);
+    }
+  });
   auto endpoint1 = network.CreateEndpoint(ServerId(1)).value();
   mom::InMemoryStore store;
   mom::AgentServer server(deployment, ServerId(1), endpoint1.get(), &runtime,
@@ -150,33 +184,95 @@ TEST(GarbageFrames, LiveServerSurvivesJunkFromTheNetwork) {
     sink = agent.get();
     server.AttachAgent(1, std::move(agent));
   }
-  ASSERT_TRUE(server.Boot().ok());
-
-  Rng rng(5);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(attacker->Send(ServerId(1), RandomBytes(rng, 64)).ok());
+  EXPECT_TRUE(server.Boot().ok());
+  for (const Bytes& bytes : junk) {
+    EXPECT_TRUE(attacker->Send(ServerId(1), bytes).ok());
   }
-  // Also a structurally valid data frame with an absurd domain and a
-  // stamp that lies about its own send counter.
-  mom::DataFrame weird;
-  weird.message.id = MessageId{ServerId(0), 1};
-  weird.message.from = AgentId{ServerId(0), 1};
-  weird.message.to = AgentId{ServerId(1), 1};
-  weird.domain = DomainId(999);
-  ASSERT_TRUE(attacker->Send(ServerId(1), weird.Serialize()).ok());
   simulator.RunToCompletion();
 
   // The server is still alive and serves local application traffic.
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(server
+    EXPECT_TRUE(server
                     .SendMessage(AgentId{ServerId(1), 1},
                                  AgentId{ServerId(1), 1}, "local")
                     .ok());
   }
   simulator.RunToCompletion();
-  ASSERT_NE(sink, nullptr);
-  EXPECT_EQ(sink->received(), 5u);
+  outcome.stats = server.stats();
+  outcome.delivered = sink->received();
   server.Shutdown();
+  return outcome;
+}
+
+bool Acked(const JunkOutcome& outcome, std::uint64_t seq) {
+  return std::find(outcome.acked.begin(), outcome.acked.end(),
+                   MessageId{ServerId(0), seq}) != outcome.acked.end();
+}
+
+TEST(GarbageFrames, LiveServerSurvivesJunkFromTheNetwork) {
+  // The junk provokes (expected) warnings; keep the test log quiet.
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kOff);
+  using clocks::CausalCoreKind;
+  std::vector<Bytes> junk;
+  Rng rng(5);
+  for (int i = 0; i < 100; ++i) junk.push_back(RandomBytes(rng, 64));
+  // A structurally valid data frame with an absurd domain and an empty
+  // stamp.
+  mom::DataFrame weird = FrameFromS0(1, {}, CausalCoreKind::kMatrix);
+  weird.domain = DomainId(999);
+  junk.push_back(weird.Serialize());
+  // Well-formed frames in the right domain whose stamps would crash the
+  // matrix core: a coordinate far outside the 2x2 clock (merged on
+  // delivery), and a stamp without its own (S0, S1) send counter.
+  junk.push_back(FrameFromS0(2, {{Entry(0, 1, 1), Entry(40000, 40000, 1)}},
+                             CausalCoreKind::kMatrix)
+                     .Serialize());
+  junk.push_back(
+      FrameFromS0(3, {{Entry(1, 0, 1)}}, CausalCoreKind::kMatrix).Serialize());
+
+  const JunkOutcome outcome =
+      SendJunkToLiveServer(domains::topologies::Flat(2), junk);
+  EXPECT_EQ(outcome.delivered, 5u);
+  EXPECT_EQ(outcome.stats.malformed_frames, 2u);
+  EXPECT_FALSE(Acked(outcome, 2));
+  EXPECT_FALSE(Acked(outcome, 3));
+  SetLogLevel(saved_level);
+}
+
+TEST(GarbageFrames, HybridCoreDropsMalformedStampsAndKeepsGossipRows) {
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kOff);
+  using clocks::CausalCoreKind;
+  constexpr std::uint16_t kGossip = clocks::HybridBufferingCore::kHeardFlag;
+  std::vector<Bytes> junk = {
+      // No FIFO header at all.
+      FrameFromS0(1, {}, CausalCoreKind::kHybrid).Serialize(),
+      // Header naming another sender's link.
+      FrameFromS0(2, {{Entry(1, 1, 1)}}, CausalCoreKind::kHybrid).Serialize(),
+      // Gossip row whose origin (flag stripped) is outside the domain.
+      FrameFromS0(3, {{Entry(0, 1, 1), Entry(kGossip | 40, 0, 1)}},
+                  CausalCoreKind::kHybrid)
+          .Serialize(),
+      // Barrier entry outside the domain.
+      FrameFromS0(4, {{Entry(0, 1, 1), Entry(40000, 1, 1)}},
+                  CausalCoreKind::kHybrid)
+          .Serialize(),
+      // Legal: the FIFO header plus a gossip row in range.
+      FrameFromS0(5, {{Entry(0, 1, 1), Entry(kGossip | 1, 0, 0)}},
+                  CausalCoreKind::kHybrid)
+          .Serialize(),
+  };
+  domains::MomConfig config = domains::topologies::Flat(2);
+  config.causal_core = CausalCoreKind::kHybrid;
+  const JunkOutcome outcome = SendJunkToLiveServer(std::move(config), junk);
+  EXPECT_EQ(outcome.stats.malformed_frames, 4u);
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+    EXPECT_FALSE(Acked(outcome, seq));
+  }
+  // The legal frame is delivered and acknowledged.
+  EXPECT_TRUE(Acked(outcome, 5));
+  EXPECT_EQ(outcome.delivered, 6u);
   SetLogLevel(saved_level);
 }
 

@@ -60,6 +60,37 @@ TEST(Stamp, SmallEntriesEncodeCompactly) {
   EXPECT_EQ(stamp.EncodedSize(), 4u);
 }
 
+TEST(Stamp, EncodedSizeMatchesEncodeAtVarintBoundaries) {
+  const std::uint64_t values[] = {0, 127, 128, 1ull << 63, ~0ull};
+  const std::uint16_t ids[] = {0, 127, 128, 0xFFFF};
+  Stamp all;
+  for (std::uint64_t value : values) {
+    for (std::uint16_t id : ids) {
+      Stamp stamp;
+      stamp.entries = {{D(id), D(static_cast<std::uint16_t>(id / 2)), value}};
+      all.entries.push_back(stamp.entries.front());
+      ByteWriter writer;
+      stamp.Encode(writer);
+      EXPECT_EQ(stamp.EncodedSize(), writer.size()) << value << " " << id;
+      ByteReader reader(writer.buffer());
+      auto decoded = Stamp::Decode(reader);
+      ASSERT_TRUE(decoded.ok());
+      EXPECT_EQ(decoded.value(), stamp);
+    }
+  }
+  // 20 entries, then appended after existing bytes of the writer.
+  ByteWriter writer;
+  writer.WriteU16(0xBEEF);
+  all.Encode(writer);
+  EXPECT_EQ(all.EncodedSize() + 2, writer.size());
+  ByteReader reader(writer.buffer());
+  ASSERT_EQ(reader.ReadU16().value(), 0xBEEF);
+  auto decoded = Stamp::Decode(reader);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value(), all);
+  EXPECT_TRUE(reader.exhausted());
+}
+
 TEST(Stamp, DecodeTruncatedFails) {
   const Stamp stamp = SampleStamp();
   ByteWriter writer;
@@ -69,6 +100,32 @@ TEST(Stamp, DecodeTruncatedFails) {
                     writer.buffer().begin() + static_cast<long>(cut));
     ByteReader reader(truncated);
     EXPECT_FALSE(Stamp::Decode(reader).ok()) << "cut at " << cut;
+  }
+}
+
+TEST(Stamp, DecodeRejectsWideCoordinatesAndOverflowingValues) {
+  {
+    ByteWriter writer;  // one entry whose row needs 33 bits
+    writer.WriteVarU64(1);
+    writer.WriteVarU64(1ull << 32);
+    writer.WriteVarU64(0);
+    writer.WriteVarU64(0);
+    ByteReader reader(writer.buffer());
+    auto decoded = Stamp::Decode(reader);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  }
+  {
+    ByteWriter writer;  // one entry whose value overflows 64 bits
+    writer.WriteVarU64(1);
+    writer.WriteVarU64(0);
+    writer.WriteVarU64(0);
+    for (int i = 0; i < 9; ++i) writer.WriteU8(0xFF);
+    writer.WriteU8(0x02);
+    ByteReader reader(writer.buffer());
+    auto decoded = Stamp::Decode(reader);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
   }
 }
 

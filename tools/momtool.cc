@@ -386,6 +386,10 @@ void PrintCausalCoreStats(ServerId id, const mom::AgentServer& server) {
     std::printf("  fenced=%llu",
                 static_cast<unsigned long long>(stats.core_fenced_frames));
   }
+  if (stats.malformed_frames > 0) {
+    std::printf("  malformed=%llu",
+                static_cast<unsigned long long>(stats.malformed_frames));
+  }
   std::printf("\n");
   if (stats.stamp_bytes_hist.count > 0) {
     std::printf("S%u:   stamp bytes   %s\n", id.value(),
