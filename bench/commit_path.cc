@@ -1,19 +1,26 @@
 // Commit-path benchmark: cost of making one message durable, as a
 // function of the QueueOUT backlog behind it.
 //
-// The historical full-image scheme rewrites the whole channel image
-// (clocks + QueueOUT + QueueIN + hold-back) on every commit, so the
-// bytes per message grow linearly with the backlog of unacknowledged
-// messages -- exactly the disk-I/O overload the paper's Section 3
-// worries about.  The incremental scheme writes per-entry keys and
-// only the clock images whose version advanced, so bytes per message
-// are O(1) in the backlog.
+// Rewriting the whole channel image (clocks + QueueOUT + QueueIN +
+// hold-back) on every commit would make the bytes per message grow
+// linearly with the backlog of unacknowledged messages -- exactly the
+// disk-I/O overload the paper's Section 3 worries about.  The store
+// schema writes per-entry keys and only the clock images whose version
+// advanced, so bytes per message are O(1) in the backlog.  (The retired
+// whole-image layout measured ~300x more bytes per message at a 1k
+// backlog; that record stays in BENCH_commit_path.json and
+// EXPERIMENTS.md.)
 //
 // Scenario: Flat(2), only S0 booted; its peer never acks, so every
 // send stays in QueueOUT and the backlog is exact.  After building a
 // backlog of B messages, a probe batch measures commit bytes, commit
 // count and wall-clock per message.  Runs over InMemoryStore and
-// FileStore (real WAL writes), in both persist modes.
+// FileStore (real WAL writes).
+//
+// Gate: exits non-zero when a server fails to boot, or when commit
+// bytes per message at backlog B exceed those at backlog 0 by more
+// than kMaxBacklogSensitivity -- commit cost must stay O(1) in the
+// backlog.
 //
 // Output: a table on stdout plus BENCH_commit_path.json (use --out to
 // redirect).  --smoke shrinks the counts for the CI bench label.
@@ -21,6 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,9 +43,12 @@ using namespace cmom;
 
 namespace {
 
+// Commit bytes per message at the full backlog over those at backlog 0
+// (1.04 on record at B = 1000: only the message-id varints grow).
+constexpr double kMaxBacklogSensitivity = 1.10;
+
 struct RunResult {
   std::string store;
-  std::string mode;
   std::size_t backlog = 0;
   std::size_t probes = 0;
   double commit_bytes_per_msg = 0;
@@ -58,10 +69,11 @@ std::uint64_t DirectoryBytes(const std::filesystem::path& dir) {
 // Sends `backlog` warm-up messages, then `probes` measured ones, into a
 // QueueOUT that never drains (the peer is down).  Frames land in the
 // simulator's event queue and are never delivered; retransmit timers
-// are pushed out beyond the run.
-RunResult Measure(mom::Store* store, const std::filesystem::path* store_dir,
-                  std::string_view store_name, mom::PersistMode mode,
-                  std::size_t backlog, std::size_t probes) {
+// are pushed out beyond the run.  Nullopt when the server fails to boot.
+std::optional<RunResult> Measure(mom::Store* store,
+                                 const std::filesystem::path* store_dir,
+                                 std::string_view store_name,
+                                 std::size_t backlog, std::size_t probes) {
   sim::Simulator simulator;
   net::SimRuntime runtime(simulator);
   net::SimNetwork network(simulator, net::CostModel{});
@@ -71,13 +83,14 @@ RunResult Measure(mom::Store* store, const std::filesystem::path* store_dir,
   auto endpoint1 = network.CreateEndpoint(ServerId(1)).value();  // dead peer
 
   mom::AgentServerOptions options;
-  options.persist_mode = mode;
   options.retransmit_timeout_ns = 1ull << 50;  // never fires in-run
   mom::AgentServer server(deployment, ServerId(0), endpoint0.get(), &runtime,
                           store, options);
-  if (!server.Boot().ok()) {
-    std::fprintf(stderr, "boot failed\n");
-    return {};
+  if (Status boot = server.Boot(); !boot.ok()) {
+    std::fprintf(stderr, "%.*s backlog %zu: boot failed: %s\n",
+                 static_cast<int>(store_name.size()), store_name.data(),
+                 backlog, boot.to_string().c_str());
+    return std::nullopt;
   }
 
   const AgentId from{ServerId(0), 1};
@@ -99,8 +112,6 @@ RunResult Measure(mom::Store* store, const std::filesystem::path* store_dir,
 
   RunResult result;
   result.store = std::string(store_name);
-  result.mode = mode == mom::PersistMode::kIncremental ? "incremental"
-                                                       : "full_image";
   result.backlog = backlog;
   result.probes = probes;
   result.commit_bytes_per_msg =
@@ -120,8 +131,26 @@ RunResult Measure(mom::Store* store, const std::filesystem::path* store_dir,
   return result;
 }
 
+// Commit bytes per message at `backlog` over those at backlog 0, on the
+// in-memory store; 0 when either row is missing.
+double BacklogSensitivity(const std::vector<RunResult>& results,
+                          std::size_t backlog) {
+  auto find = [&](std::size_t bl) -> const RunResult* {
+    for (const RunResult& r : results) {
+      if (r.store == "inmemory" && r.backlog == bl) return &r;
+    }
+    return nullptr;
+  };
+  const RunResult* full = find(backlog);
+  const RunResult* empty = find(0);
+  if (full == nullptr || empty == nullptr || empty->commit_bytes_per_msg <= 0) {
+    return 0;
+  }
+  return full->commit_bytes_per_msg / empty->commit_bytes_per_msg;
+}
+
 void WriteJson(const std::string& path, const std::vector<RunResult>& results,
-               std::size_t backlog, bool smoke) {
+               std::size_t backlog, double sensitivity, bool smoke) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -134,48 +163,23 @@ void WriteJson(const std::string& path, const std::vector<RunResult>& results,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
     std::fprintf(out,
-                 "    {\"store\": \"%s\", \"mode\": \"%s\", \"backlog\": %zu, "
+                 "    {\"store\": \"%s\", \"backlog\": %zu, "
                  "\"probes\": %zu, \"commit_bytes_per_msg\": %.1f, "
                  "\"commits_per_msg\": %.2f, \"msgs_per_sec\": %.0f, "
                  "\"wal_file_bytes_per_msg\": %.1f}%s\n",
-                 r.store.c_str(), r.mode.c_str(), r.backlog, r.probes,
+                 r.store.c_str(), r.backlog, r.probes,
                  r.commit_bytes_per_msg, r.commits_per_msg, r.msgs_per_sec,
                  r.wal_file_bytes_per_msg,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
 
-  // Headline numbers: bytes/msg at full backlog, old vs new path.
-  auto find = [&](std::string_view store, std::string_view mode,
-                  std::size_t bl) -> const RunResult* {
-    for (const RunResult& r : results) {
-      if (r.store == store && r.mode == mode && r.backlog == bl) return &r;
-    }
-    return nullptr;
-  };
-  const RunResult* full = find("inmemory", "full_image", backlog);
-  const RunResult* incr = find("inmemory", "incremental", backlog);
-  const RunResult* incr0 = find("inmemory", "incremental", 0);
-  const double reduction =
-      (full != nullptr && incr != nullptr && incr->commit_bytes_per_msg > 0)
-          ? full->commit_bytes_per_msg / incr->commit_bytes_per_msg
-          : 0;
-  const double backlog_ratio =
-      (incr != nullptr && incr0 != nullptr && incr0->commit_bytes_per_msg > 0)
-          ? incr->commit_bytes_per_msg / incr0->commit_bytes_per_msg
-          : 0;
   std::fprintf(out,
-               "  \"summary\": {\"bytes_per_msg_reduction_at_backlog\": %.1f, "
-               "\"incremental_backlog_sensitivity\": %.2f}\n}\n",
-               reduction, backlog_ratio);
+               "  \"summary\": {\"incremental_backlog_sensitivity\": "
+               "%.2f}\n}\n",
+               sensitivity);
   std::fclose(out);
   std::printf("\nwrote %s\n", path.c_str());
-  std::printf("full-image vs incremental at backlog %zu: %.1fx fewer "
-              "commit bytes/msg\n",
-              backlog, reduction);
-  std::printf("incremental bytes/msg, backlog %zu vs 0: %.2fx "
-              "(1.0 = backlog-independent)\n",
-              backlog, backlog_ratio);
 }
 
 }  // namespace
@@ -193,16 +197,22 @@ int main(int argc, char** argv) {
   const std::size_t probes = smoke ? 16 : 256;
 
   std::printf("Commit path: durable bytes per message vs QueueOUT backlog\n");
-  std::printf("%-9s %-12s %8s %14s %12s %12s %12s\n", "store", "mode",
-              "backlog", "bytes/msg", "commits/msg", "msgs/sec",
-              "file B/msg");
+  std::printf("%-9s %8s %14s %12s %12s %12s\n", "store", "backlog",
+              "bytes/msg", "commits/msg", "msgs/sec", "file B/msg");
 
   std::vector<RunResult> results;
-  const auto run = [&](mom::PersistMode mode, std::size_t bl) {
+  bool booted = true;
+  const auto keep = [&](std::optional<RunResult> result) {
+    if (result.has_value()) {
+      results.push_back(std::move(*result));
+    } else {
+      booted = false;
+    }
+  };
+  const auto run = [&](std::size_t bl) {
     {
       mom::InMemoryStore store;
-      results.push_back(Measure(&store, nullptr, "inmemory", mode, bl,
-                                probes));
+      keep(Measure(&store, nullptr, "inmemory", bl, probes));
     }
     {
       const std::filesystem::path dir =
@@ -210,23 +220,33 @@ int main(int argc, char** argv) {
       std::filesystem::remove_all(dir);
       auto store = mom::FileStore::Open(dir).value();
       store->set_compaction_threshold(1ull << 40);  // no compaction in-run
-      results.push_back(
-          Measure(store.get(), &dir, "filestore", mode, bl, probes));
+      keep(Measure(store.get(), &dir, "filestore", bl, probes));
       store.reset();
       std::filesystem::remove_all(dir);
     }
   };
-  for (std::size_t bl : {std::size_t{0}, backlog}) {
-    run(mom::PersistMode::kFullImage, bl);
-    run(mom::PersistMode::kIncremental, bl);
-  }
+  for (std::size_t bl : {std::size_t{0}, backlog}) run(bl);
 
   for (const RunResult& r : results) {
-    std::printf("%-9s %-12s %8zu %14.1f %12.2f %12.0f %12.1f\n",
-                r.store.c_str(), r.mode.c_str(), r.backlog,
-                r.commit_bytes_per_msg, r.commits_per_msg, r.msgs_per_sec,
-                r.wal_file_bytes_per_msg);
+    std::printf("%-9s %8zu %14.1f %12.2f %12.0f %12.1f\n", r.store.c_str(),
+                r.backlog, r.commit_bytes_per_msg, r.commits_per_msg,
+                r.msgs_per_sec, r.wal_file_bytes_per_msg);
   }
-  WriteJson(out_path, results, backlog, smoke);
+  const double sensitivity = BacklogSensitivity(results, backlog);
+  WriteJson(out_path, results, backlog, sensitivity, smoke);
+  std::printf("bytes/msg, backlog %zu vs 0: %.2fx (1.0 = backlog-independent, "
+              "gate %.2fx)\n",
+              backlog, sensitivity, kMaxBacklogSensitivity);
+  if (!booted) {
+    std::fprintf(stderr, "FAIL: a server did not boot\n");
+    return 1;
+  }
+  if (sensitivity <= 0 || sensitivity > kMaxBacklogSensitivity) {
+    std::fprintf(stderr,
+                 "FAIL: commit bytes/msg grow with the backlog (%.2fx > "
+                 "%.2fx)\n",
+                 sensitivity, kMaxBacklogSensitivity);
+    return 1;
+  }
   return 0;
 }

@@ -75,7 +75,7 @@ class Coordinator {
 
   // --- store-level primitives (shared with Recover and momtool) ------
   // The one-commit store rewrite for `self` under `plan`.  Requires a
-  // drained store: any surviving qout/qin/hold key aborts.
+  // drained store: a key under any of mom::kQueuePrefixes aborts.
   [[nodiscard]] static Status CutoverStore(mom::Store& store, ServerId self,
                                            const ReconfigPlan& plan);
 

@@ -27,10 +27,13 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "mom/store.h"
+#include "mom/store_schema.h"
 
 namespace cmom::control {
 
-inline constexpr std::string_view kEpochCurrentKey = "epoch/current";
+// The current-epoch key is part of the server store schema: the
+// AgentServer reads it at Boot to refuse a mismatched epoch.
+inline constexpr std::string_view kEpochCurrentKey = mom::kEpochCurrentKey;
 inline constexpr std::string_view kEpochPendingKey = "epoch/pending";
 
 struct EpochRecord {

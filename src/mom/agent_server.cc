@@ -2,105 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <future>
 #include <utility>
 
 #include "common/buffer_pool.h"
 #include "common/log.h"
 #include "flow/admission.h"
+#include "mom/store_schema.h"
 
 namespace cmom::mom {
 
 namespace {
-constexpr std::string_view kMetaKey = "meta";
-// Legacy monolithic blobs (PersistMode::kFullImage).  A store written
-// under these keys is migrated to the per-entry schema once, on the
-// first incremental Boot.
-constexpr std::string_view kLegacyClocksKey = "channel/clocks";
-constexpr std::string_view kLegacyQueueOutKey = "channel/qout";
-constexpr std::string_view kLegacyQueueInKey = "engine/qin";
-constexpr std::string_view kLegacyHoldbackKey = "channel/holdback";
-// Incremental per-entry schema.  Fixed-width hex suffixes keep
-// Store::Keys(prefix) ordering aligned with numeric ordering.
-constexpr std::string_view kClockKeyPrefix = "clk/";
-// Written by the control plane (control/epoch.h owns the record format:
-// varint epoch, then the config text).  The server only reads the
-// leading varint, to refuse booting against a store whose epoch
-// disagrees with its options -- mom must not depend on control.
-constexpr std::string_view kEpochCurrentKey = "epoch/current";
-constexpr std::string_view kQueueOutKeyPrefix = "qout/";
-constexpr std::string_view kQueueInKeyPrefix = "qin/";
-constexpr std::string_view kHoldKeyPrefix = "hold/";
-constexpr std::string_view kAgentKeyPrefix = "agent/";
-// Forwarded messages parked in the router's DRR staging queue
-// (src/flow): written in the same transaction as the delivery that
-// produced them, deleted when ForwardStep stamps them onward.
-constexpr std::string_view kFwdKeyPrefix = "fwd/";
-
-std::string AgentKey(std::uint32_t local_id) {
-  return std::string(kAgentKeyPrefix) + std::to_string(local_id);
-}
-
-void AppendHex(std::string& out, std::uint64_t value, int digits) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%0*llx", digits,
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-std::string ClockKey(std::size_t deployment_index) {
-  std::string key(kClockKeyPrefix);
-  AppendHex(key, deployment_index, 4);
-  return key;
-}
-
-std::string OutKey(MessageId id) {
-  std::string key(kQueueOutKeyPrefix);
-  AppendHex(key, id.origin.value(), 4);
-  AppendHex(key, id.seq, 16);
-  return key;
-}
-
-std::string InKey(std::uint64_t seq) {
-  std::string key(kQueueInKeyPrefix);
-  AppendHex(key, seq, 16);
-  return key;
-}
-
-std::string FwdKey(std::uint64_t seq) {
-  std::string key(kFwdKeyPrefix);
-  AppendHex(key, seq, 16);
-  return key;
-}
-
-std::string HoldKey(std::size_t deployment_index, MessageId id) {
-  std::string key(kHoldKeyPrefix);
-  AppendHex(key, deployment_index, 4);
-  key += '/';
-  AppendHex(key, id.origin.value(), 4);
-  AppendHex(key, id.seq, 16);
-  return key;
-}
-
-Result<std::uint64_t> ParseHexSuffix(std::string_view key,
-                                     std::string_view prefix) {
-  std::uint64_t value = 0;
-  std::string_view digits = key.substr(prefix.size());
-  if (digits.empty()) return Status::DataLoss("empty store key suffix");
-  for (char c : digits) {
-    std::uint64_t nibble = 0;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else {
-      return Status::DataLoss("bad hex digit in store key");
-    }
-    value = (value << 4) | nibble;
-  }
-  return value;
-}
+// Blob keys of the retired whole-image layout, which rewrote each queue
+// as one blob per commit.  A store holding one predates the per-entry
+// schema (mom/store_schema.h) and is refused at Boot.
+constexpr std::string_view kRetiredBlobKeys[] = {
+    "channel/clocks", "channel/qout", "engine/qin", "channel/holdback"};
 }  // namespace
 
 // Buffers the sends an agent makes during React; they are committed
@@ -262,18 +179,12 @@ Status AgentServer::Boot() {
 
     // Parallel engine eligibility (see header comment): needs a
     // threaded runtime (MakeExecutor on SimRuntime returns nullptr,
-    // keeping simulated traces bit-identical) and incremental
-    // persistence (a full image written mid-pipeline would record an
-    // empty QueueIN while reactions are in flight on the shards).
+    // keeping simulated traces bit-identical).
     if (options_.engine_workers > 0) {
       if (options_.cost_model != nullptr) {
         CMOM_LOG(kWarning)
             << to_string(self_)
             << ": cost model configured; parallel engine disabled";
-      } else if (!incremental()) {
-        CMOM_LOG(kWarning)
-            << to_string(self_)
-            << ": full-image persistence; parallel engine disabled";
       } else {
         executor_ = runtime_->MakeExecutor(options_.engine_workers);
         if (executor_ != nullptr) {
@@ -651,11 +562,11 @@ std::size_t AgentServer::CommitDelivery(DomainItem& item,
   // ACROSS source domains is causally safe -- two messages staged at
   // this router concurrently are causally concurrent (a successor
   // cannot arrive before its predecessor left) -- and FIFO per source
-  // queue preserves order within each domain.  Needs incremental
-  // persistence: the fwd/ record rides the delivery's own transaction,
-  // so a crash between delivery and forward recovers the staged
-  // message instead of losing an acked frame.
-  if (options_.flow.enabled && incremental()) {
+  // queue preserves order within each domain.  The fwd/ record rides
+  // the delivery's own transaction, so a crash between delivery and
+  // forward recovers the staged message instead of losing an acked
+  // frame.
+  if (options_.flow.enabled) {
     StageForward(item.id, std::move(frame.message));
     return 0;
   }
@@ -910,13 +821,7 @@ std::size_t AgentServer::StampAndEnqueue(Message message) {
                      << link_index.status();
     return 0;
   }
-  DomainItem* item = nullptr;
-  for (DomainItem& candidate : items_) {
-    if (candidate.deployment_index == link_index.value()) {
-      item = &candidate;
-      break;
-    }
-  }
+  DomainItem* item = FindItemByIndex(link_index.value());
   assert(item != nullptr && "link domain not among this server's items");
   auto hop_local =
       deployment_->domain(link_index.value()).LocalId(hop);
@@ -953,13 +858,7 @@ std::size_t AgentServer::StampAndEnqueueBatch(std::vector<Message> messages) {
                self_, messages[j].dest_server()) == hop) {
       ++j;
     }
-    DomainItem* item = nullptr;
-    for (DomainItem& candidate : items_) {
-      if (candidate.deployment_index == link_index.value()) {
-        item = &candidate;
-        break;
-      }
-    }
+    DomainItem* item = FindItemByIndex(link_index.value());
     assert(item != nullptr && "link domain not among this server's items");
     auto hop_local = deployment_->domain(link_index.value()).LocalId(hop);
     assert(hop_local.has_value());
@@ -991,13 +890,6 @@ std::size_t AgentServer::EnqueueStampedLocked(OutEntry entry) {
   PersistOutEntry(entry);
   queue_out_.push_back(std::move(entry));
   queue_out_index_.emplace(id, std::prev(queue_out_.end()));
-
-  // During recovery (the full-image downgrade fold runs before Boot
-  // finishes) the Boot resume pass owns emission and retransmission for
-  // every QueueOUT entry: emitting or credit-gating here would
-  // double-emit whatever a later grant releases and skew the admitted
-  // accounting, so the entry just lands in the queue.
-  if (!booted_) return entries;
 
   // Credit gate (src/flow): only the FIRST emission consumes a credit.
   // A blocked message is already stamped and durable in QueueOUT -- the
@@ -1568,16 +1460,6 @@ void AgentServer::PersistMeta() {
 }
 
 void AgentServer::PersistClocks(bool force) {
-  if (!incremental()) {
-    ByteWriter out;
-    out.WriteVarU64(items_.size());
-    for (const DomainItem& item : items_) {
-      out.WriteVarU64(item.deployment_index);
-      item.core->EncodeState(out);
-    }
-    StorePut(kLegacyClocksKey, std::move(out).Take());
-    return;
-  }
   for (DomainItem& item : items_) {
     if (!force && item.persisted_clock_version == item.core->version()) {
       continue;
@@ -1593,40 +1475,6 @@ void AgentServer::PersistClocks(bool force) {
   }
 }
 
-void AgentServer::PersistQueueOut() {
-  ByteWriter out;
-  out.WriteVarU64(queue_out_.size());
-  for (const OutEntry& entry : queue_out_) {
-    entry.message.Encode(out);
-    out.WriteU16(entry.next_hop.value());
-    out.WriteU16(entry.domain.value());
-    entry.stamp.Encode(out);
-  }
-  StorePut(kLegacyQueueOutKey, std::move(out).Take());
-}
-
-void AgentServer::PersistQueueIn() {
-  ByteWriter out;
-  out.WriteVarU64(queue_in_.size());
-  for (const InEntry& entry : queue_in_) entry.message.Encode(out);
-  StorePut(kLegacyQueueInKey, std::move(out).Take());
-}
-
-void AgentServer::PersistHoldback() {
-  ByteWriter out;
-  std::size_t total = 0;
-  for (const DomainItem& item : items_) total += item.holdback.size();
-  out.WriteVarU64(total);
-  for (const DomainItem& item : items_) {
-    for (const HeldFrame& held : item.holdback.pending()) {
-      out.WriteVarU64(item.deployment_index);
-      out.WriteU16(held.src_local.value());
-      out.WriteBytes(held.frame.Serialize());
-    }
-  }
-  StorePut(kLegacyHoldbackKey, std::move(out).Take());
-}
-
 void AgentServer::PersistAgent(std::uint32_t local_id) {
   auto it = agents_.find(local_id);
   if (it == agents_.end()) return;
@@ -1636,7 +1484,6 @@ void AgentServer::PersistAgent(std::uint32_t local_id) {
 }
 
 void AgentServer::PersistOutEntry(const OutEntry& entry) {
-  if (!incremental()) return;
   ByteWriter out;
   out.WriteVarU64(entry.enqueue_seq);
   entry.message.Encode(out);
@@ -1647,26 +1494,22 @@ void AgentServer::PersistOutEntry(const OutEntry& entry) {
 }
 
 void AgentServer::EraseOutEntry(const OutEntry& entry) {
-  if (!incremental()) return;
   StoreDelete(OutKey(entry.message.id));
 }
 
 void AgentServer::PersistInEntry(const InEntry& entry) {
-  if (!incremental()) return;
   ByteWriter out;
   entry.message.Encode(out);
   StorePut(InKey(entry.seq), std::move(out).Take());
 }
 
 void AgentServer::EraseInEntry(const InEntry& entry) {
-  if (!incremental()) return;
   StoreDelete(InKey(entry.seq));
 }
 
 void AgentServer::PersistHeldFrame(const DomainItem& item,
                                    const HeldFrame& held,
                                    std::uint64_t arrival_seq) {
-  if (!incremental()) return;
   ByteWriter out;
   out.WriteVarU64(arrival_seq);
   out.WriteU16(held.src_local.value());
@@ -1676,28 +1519,16 @@ void AgentServer::PersistHeldFrame(const DomainItem& item,
 }
 
 void AgentServer::EraseHeldFrame(const DomainItem& item, MessageId id) {
-  if (!incremental()) return;
   StoreDelete(HoldKey(item.deployment_index, id));
 }
 
-// One transaction: in full-image mode, the persistent image of the
-// whole channel + engine state (the matrix clocks dominating its size,
-// as in the paper); in incremental mode, only the delta -- dirty domain
-// clocks, the bumped meta counter, and whatever per-entry queue keys
-// the transaction staged on its way here.
+// One transaction: only the delta -- dirty domain clocks, the bumped
+// meta counter, and whatever per-entry queue keys the transaction
+// staged on its way here.
 Status AgentServer::CommitLocked() {
   if (!halt_status_.ok()) return halt_status_;
-  if (incremental()) {
-    PersistMeta();
-    PersistClocks(/*force=*/false);
-  } else {
-    meta_dirty_ = true;  // full image rewrites everything, every commit
-    PersistMeta();
-    PersistClocks(/*force=*/true);
-    PersistQueueOut();
-    PersistQueueIn();
-    PersistHoldback();
-  }
+  PersistMeta();
+  PersistClocks(/*force=*/false);
   if (txn_ops_staged_ == 0) {  // nothing changed durable state
     FlushTraceLocked();
     return Status::Ok();
@@ -1779,12 +1610,22 @@ void AgentServer::FlushTraceLocked() {
 }
 
 Status AgentServer::RecoverLocked() {
+  // A retired full-image blob means the store predates the per-entry
+  // schema: refuse it before anything -- even the incarnation bump --
+  // is committed, so the store stays exactly as it was found.
+  for (std::string_view key : kRetiredBlobKeys) {
+    if (store_->Get(key).has_value()) {
+      return Status::FailedPrecondition(
+          "store holds the retired full-image key \"" + std::string(key) +
+          "\"; this version reads only the per-entry schema");
+    }
+  }
   auto meta = store_->Get(kMetaKey);
   if (!meta.has_value()) {
     // Fresh server: write the initial durable image.
     incarnation_ = 1;
     meta_dirty_ = true;
-    if (incremental()) PersistClocks(/*force=*/true);
+    PersistClocks(/*force=*/true);
     return CommitLocked();
   }
   {
@@ -1806,142 +1647,18 @@ Status AgentServer::RecoverLocked() {
     meta_dirty_ = true;
   }
 
-  const bool legacy_present = store_->Get(kLegacyClocksKey).has_value() ||
-                              store_->Get(kLegacyQueueOutKey).has_value() ||
-                              store_->Get(kLegacyQueueInKey).has_value() ||
-                              store_->Get(kLegacyHoldbackKey).has_value();
-  if (legacy_present) {
-    CMOM_RETURN_IF_ERROR(RecoverLegacyLocked());
-    if (incremental()) CMOM_RETURN_IF_ERROR(MigrateToIncrementalLocked());
-  } else {
-    CMOM_RETURN_IF_ERROR(RecoverIncrementalLocked());
-    if (!incremental()) {
-      // Downgrade (tests / baseline measurements): fold the per-entry
-      // keys back into the monolithic blobs.  Staged forwards cannot be
-      // represented in the full image, so they are stamped into
-      // QueueOUT right here (the emission below is covered by the Boot
-      // resume pass over queue_out_).
-      forward_stage_.Drain(
-          forward_stage_.size(),
-          [&](DomainId, ForwardEntry&& staged) {
-            StampAndEnqueue(std::move(staged.message));
-          });
-      for (std::string_view prefix :
-           {kClockKeyPrefix, kQueueOutKeyPrefix, kQueueInKeyPrefix,
-            kHoldKeyPrefix, kFwdKeyPrefix}) {
-        for (const std::string& key : store_->Keys(prefix)) StoreDelete(key);
-      }
-      CMOM_RETURN_IF_ERROR(CommitLocked());
-    }
-  }
-
+  CMOM_RETURN_IF_ERROR(RecoverEntriesLocked());
   for (auto& [local_id, agent] : agents_) {
     if (auto blob = store_->Get(AgentKey(local_id))) {
       ByteReader in(*blob);
       CMOM_RETURN_IF_ERROR(agent->DecodeState(in));
     }
   }
-  // Make the incarnation bump durable before Boot emits any frame (the
-  // downgrade path above may have committed it already).
-  if (meta_dirty_) return CommitLocked();
-  return Status::Ok();
+  // Make the incarnation bump durable before Boot emits any frame.
+  return CommitLocked();
 }
 
-Status AgentServer::RecoverLegacyLocked() {
-  if (auto blob = store_->Get(kLegacyClocksKey)) {
-    ByteReader in(*blob);
-    auto count = in.ReadVarU64();
-    if (!count.ok()) return count.status();
-    for (std::uint64_t i = 0; i < count.value(); ++i) {
-      auto index = in.ReadVarU64();
-      if (!index.ok()) return index.status();
-      auto core = clocks::DecodeCausalCoreState(in);
-      if (!core.ok()) return core.status();
-      bool found = false;
-      for (DomainItem& item : items_) {
-        if (item.deployment_index == index.value()) {
-          if (core.value()->kind() != item.core->kind()) {
-            return Status::FailedPrecondition(
-                "store holds a " +
-                std::string(clocks::CausalCoreKindName(core.value()->kind())) +
-                " core for " + to_string(item.id) + " but the config runs " +
-                std::string(clocks::CausalCoreKindName(item.core->kind())));
-          }
-          item.core = std::move(core).value();
-          item.persisted_clock_version = item.core->version();
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::DataLoss("recovered clock for unknown domain index");
-      }
-    }
-  }
-  if (auto blob = store_->Get(kLegacyQueueOutKey)) {
-    ByteReader in(*blob);
-    auto count = in.ReadVarU64();
-    if (!count.ok()) return count.status();
-    for (std::uint64_t i = 0; i < count.value(); ++i) {
-      OutEntry entry;
-      auto message = Message::Decode(in);
-      if (!message.ok()) return message.status();
-      entry.message = std::move(message).value();
-      auto hop = in.ReadU16();
-      if (!hop.ok()) return hop.status();
-      entry.next_hop = ServerId(hop.value());
-      auto domain = in.ReadU16();
-      if (!domain.ok()) return domain.status();
-      entry.domain = DomainId(domain.value());
-      auto stamp = clocks::Stamp::Decode(in);
-      if (!stamp.ok()) return stamp.status();
-      entry.stamp = std::move(stamp).value();
-      entry.enqueue_seq = next_out_enqueue_seq_++;
-      const MessageId id = entry.message.id;
-      queue_out_.push_back(std::move(entry));
-      queue_out_index_.emplace(id, std::prev(queue_out_.end()));
-    }
-  }
-  if (auto blob = store_->Get(kLegacyQueueInKey)) {
-    ByteReader in(*blob);
-    auto count = in.ReadVarU64();
-    if (!count.ok()) return count.status();
-    for (std::uint64_t i = 0; i < count.value(); ++i) {
-      auto message = Message::Decode(in);
-      if (!message.ok()) return message.status();
-      queue_in_.push_back(InEntry{next_in_seq_++, std::move(message).value()});
-    }
-  }
-  if (auto blob = store_->Get(kLegacyHoldbackKey)) {
-    ByteReader in(*blob);
-    auto count = in.ReadVarU64();
-    if (!count.ok()) return count.status();
-    for (std::uint64_t i = 0; i < count.value(); ++i) {
-      auto index = in.ReadVarU64();
-      if (!index.ok()) return index.status();
-      auto src = in.ReadU16();
-      if (!src.ok()) return src.status();
-      auto frame_bytes = in.ReadBytes();
-      if (!frame_bytes.ok()) return frame_bytes.status();
-      auto frame = DataFrame::Deserialize(frame_bytes.value());
-      if (!frame.ok()) return frame.status();
-      bool placed = false;
-      for (DomainItem& item : items_) {
-        if (item.deployment_index == index.value()) {
-          item.held_ids.insert(frame.value().message.id);
-          item.holdback.Push(HeldFrame{DomainServerId(src.value()),
-                                       std::move(frame).value()});
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) return Status::DataLoss("held frame for unknown domain");
-    }
-  }
-  return Status::Ok();
-}
-
-Status AgentServer::RecoverIncrementalLocked() {
+Status AgentServer::RecoverEntriesLocked() {
   for (const std::string& key : store_->Keys(kClockKeyPrefix)) {
     auto index = ParseHexSuffix(key, kClockKeyPrefix);
     if (!index.ok()) return index.status();
@@ -1950,29 +1667,23 @@ Status AgentServer::RecoverIncrementalLocked() {
     ByteReader in(*blob);
     auto core = clocks::DecodeCausalCoreState(in);
     if (!core.ok()) return core.status();
-    bool found = false;
-    for (DomainItem& item : items_) {
-      if (item.deployment_index == index.value()) {
-        // The store's core kind must agree with the configured one: a
-        // hybrid image decoded as matrix coordinates (or vice versa)
-        // would silently break causal recovery.  Switching a domain's
-        // core requires an epoch cutover, which rewrites clk/ records.
-        if (core.value()->kind() != item.core->kind()) {
-          return Status::FailedPrecondition(
-              "store holds a " +
-              std::string(clocks::CausalCoreKindName(core.value()->kind())) +
-              " core for " + to_string(item.id) + " but the config runs " +
-              std::string(clocks::CausalCoreKindName(item.core->kind())));
-        }
-        item.core = std::move(core).value();
-        item.persisted_clock_version = item.core->version();
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    DomainItem* item = FindItemByIndex(index.value());
+    if (item == nullptr) {
       return Status::DataLoss("recovered clock for unknown domain index");
     }
+    // The store's core kind must agree with the configured one: a
+    // hybrid image decoded as matrix coordinates (or vice versa) would
+    // silently break causal recovery.  Switching a domain's core
+    // requires an epoch cutover, which rewrites clk/ records.
+    if (core.value()->kind() != item->core->kind()) {
+      return Status::FailedPrecondition(
+          "store holds a " +
+          std::string(clocks::CausalCoreKindName(core.value()->kind())) +
+          " core for " + to_string(item->id) + " but the config runs " +
+          std::string(clocks::CausalCoreKindName(item->core->kind())));
+    }
+    item->core = std::move(core).value();
+    item->persisted_clock_version = item->core->version();
   }
 
   // QueueOUT keys sort by message id; the persisted enqueue ticket
@@ -2070,13 +1781,7 @@ Status AgentServer::RecoverIncrementalLocked() {
     if (!frame_bytes.ok()) return frame_bytes.status();
     auto frame = DataFrame::Deserialize(frame_bytes.value());
     if (!frame.ok()) return frame.status();
-    DomainItem* owner = nullptr;
-    for (DomainItem& item : items_) {
-      if (item.deployment_index == index.value()) {
-        owner = &item;
-        break;
-      }
-    }
+    DomainItem* owner = FindItemByIndex(index.value());
     if (owner == nullptr) {
       return Status::DataLoss("held frame for unknown domain");
     }
@@ -2094,25 +1799,6 @@ Status AgentServer::RecoverIncrementalLocked() {
     hold.item->holdback.Push(std::move(hold.held));
   }
   return Status::Ok();
-}
-
-Status AgentServer::MigrateToIncrementalLocked() {
-  CMOM_LOG(kInfo) << to_string(self_)
-                  << ": migrating full-image store to incremental schema";
-  StoreDelete(kLegacyClocksKey);
-  StoreDelete(kLegacyQueueOutKey);
-  StoreDelete(kLegacyQueueInKey);
-  StoreDelete(kLegacyHoldbackKey);
-  meta_dirty_ = true;
-  PersistClocks(/*force=*/true);
-  for (const OutEntry& entry : queue_out_) PersistOutEntry(entry);
-  for (const InEntry& entry : queue_in_) PersistInEntry(entry);
-  for (const DomainItem& item : items_) {
-    for (const HeldFrame& held : item.holdback.pending()) {
-      PersistHeldFrame(item, held, next_hold_seq_++);
-    }
-  }
-  return CommitLocked();
 }
 
 // ---------------------------------------------------------------------
@@ -2320,6 +2006,14 @@ Bytes AgentServer::DebugImage() const {
 AgentServer::DomainItem* AgentServer::FindItemByDomainId(DomainId id) {
   for (DomainItem& item : items_) {
     if (item.id == id) return &item;
+  }
+  return nullptr;
+}
+
+AgentServer::DomainItem* AgentServer::FindItemByIndex(
+    std::size_t deployment_index) {
+  for (DomainItem& item : items_) {
+    if (item.deployment_index == deployment_index) return &item;
   }
   return nullptr;
 }

@@ -28,15 +28,13 @@
 // still atomic, so exactly-once causal delivery is unaffected; under
 // load the commit (and ack) count per message drops toward 1/batch.
 //
-// Persistence is incremental (PersistMode::kIncremental, the default):
-// QueueOUT, QueueIN and the hold-back queues live under per-entry store
-// keys written and deleted individually, and each domain's clock image
-// is rewritten only when its version advanced -- so commit bytes per
-// message are O(1) in the backlog instead of O(backlog), the disk-layer
-// analogue of the Appendix A delta stamps.  PersistMode::kFullImage
-// keeps the historical whole-image rewrite for baseline measurements;
-// a store written by it is migrated to the incremental schema once, on
-// the first incremental Boot.
+// Persistence is incremental: QueueOUT, QueueIN, the hold-back queues
+// and the DRR forward stage live under per-entry store keys
+// (mom/store_schema.h) written and deleted individually, and each
+// domain's clock image is rewritten only when its version advanced --
+// so commit bytes per message are O(1) in the backlog instead of
+// O(backlog), the disk-layer analogue of the Appendix A delta stamps.
+// A store from the retired whole-image layout is refused at Boot.
 //
 // Unacknowledged QueueOUT entries are retransmitted with their original
 // stamp; the receiver's clock check recognizes and drops duplicates, so
@@ -77,9 +75,7 @@
 //
 // engine_workers = 0 (the default) keeps the historical inline engine;
 // simulated runs always use it (SimRuntime::MakeExecutor returns
-// nullptr), so CostModel traces stay bit-identical.  The parallel
-// engine requires PersistMode::kIncremental: full-image commits cannot
-// represent reactions that are in flight outside queue_in_.
+// nullptr), so CostModel traces stay bit-identical.
 #pragma once
 
 #include <algorithm>
@@ -118,11 +114,6 @@
 
 namespace cmom::mom {
 
-enum class PersistMode : std::uint8_t {
-  kIncremental = 0,  // per-entry keys + dirty-flagged clock images
-  kFullImage = 1,    // historical monolithic blobs, rewritten per commit
-};
-
 struct AgentServerOptions {
   // Non-null enables simulated processing costs (see header comment).
   const net::CostModel* cost_model = nullptr;
@@ -132,8 +123,6 @@ struct AgentServerOptions {
   std::uint64_t retransmit_timeout_ns = 500ull * 1000 * 1000;
   // Safety valve for runaway retransmission (0 = unlimited).
   std::uint32_t max_retransmit_attempts = 0;
-  // Durable-image layout (see header comment).
-  PersistMode persist_mode = PersistMode::kIncremental;
   // Max QueueIN messages reacted to per Engine work item (one commit).
   std::size_t engine_batch = 16;
   // Max inbox frames processed per Channel work item (one commit, acks
@@ -141,8 +130,8 @@ struct AgentServerOptions {
   std::size_t channel_batch = 16;
   // Engine shard workers (see header comment).  0 = historical inline
   // engine.  >0 requires a runtime whose MakeExecutor returns real
-  // threads (ThreadRuntime) and PersistMode::kIncremental; otherwise
-  // the server falls back to inline mode at Boot.
+  // threads (ThreadRuntime); otherwise the server falls back to inline
+  // mode at Boot.
   std::size_t engine_workers = 0;
   // Config epoch this server runs under (src/control reconfiguration).
   // Stamped into every outgoing DataFrame; frames from a different
@@ -159,10 +148,10 @@ struct AgentServerOptions {
   std::uint64_t ack_coalesce_ns = 0;
   // End-to-end flow control and overload protection (src/flow): credit
   // windows on server-to-server links, deficit-round-robin forwarding
-  // on routers (requires PersistMode::kIncremental), and engine
-  // admission control for local sends.  Enabled by default with
-  // watermarks generous enough to be invisible under nominal load;
-  // flow.enabled = false reproduces the historical unbounded behavior.
+  // on routers, and engine admission control for local sends.  Enabled
+  // by default with watermarks generous enough to be invisible under
+  // nominal load; flow.enabled = false reproduces the historical
+  // unbounded behavior.
   flow::FlowOptions flow;
 };
 
@@ -378,8 +367,8 @@ class AgentServer {
   // Canonical serialization of the volatile channel + engine image
   // (meta, clocks, QueueOUT, QueueIN, hold-back queues, in order).
   // Test hook: two servers that must be in equivalent states -- e.g.
-  // recovered from a full-image store vs an incremental one after
-  // identical deterministic traffic -- must produce identical bytes.
+  // one before a crash and its recovered successor -- must produce
+  // identical bytes.
   [[nodiscard]] Bytes DebugImage() const;
 
  private:
@@ -494,8 +483,7 @@ class AgentServer {
   void MaybeReplenishCredits();
   // Router fair scheduling: parks a forwarded message in the per-source
   // DRR staging queue, persisted under its fwd/ key in the SAME
-  // transaction as the delivery that produced it.  Incremental mode
-  // only.
+  // transaction as the delivery that produced it.
   void StageForward(DomainId source, Message message);
   // Work item draining the DRR staging queue: stamps each released
   // message toward its next hop and deletes its fwd/ key, one commit
@@ -563,21 +551,14 @@ class AgentServer {
   void EnqueueLocalDelivery(Message message);
 
   // --- persistence ----------------------------------------------------
-  [[nodiscard]] bool incremental() const {
-    return options_.persist_mode == PersistMode::kIncremental;
-  }
   // Staging wrappers: route every store mutation through these so
   // CommitLocked knows whether the transaction touched anything.
   void StorePut(std::string_view key, Bytes value);
   void StoreDelete(std::string_view key);
   void PersistMeta();
   void PersistClocks(bool force);
-  void PersistQueueOut();     // full-image mode only
-  void PersistQueueIn();      // full-image mode only
-  void PersistHoldback();     // full-image mode only
   void PersistAgent(std::uint32_t local_id);
-  // Incremental per-entry writes (no-ops in full-image mode, where the
-  // whole queue blob is rewritten by CommitLocked instead).
+  // Per-entry queue writes, staged into the current transaction.
   void PersistOutEntry(const OutEntry& entry);
   void EraseOutEntry(const OutEntry& entry);
   void PersistInEntry(const InEntry& entry);
@@ -585,12 +566,12 @@ class AgentServer {
   void PersistHeldFrame(const DomainItem& item, const HeldFrame& held,
                         std::uint64_t arrival_seq);
   void EraseHeldFrame(const DomainItem& item, MessageId id);
+  // Boot-time recovery: refuses a store of the retired whole-image
+  // layout, reads meta, rebuilds the clocks and queues from their
+  // per-entry keys (RecoverEntriesLocked) and the agents from theirs,
+  // then commits the incarnation bump.
   [[nodiscard]] Status RecoverLocked();
-  [[nodiscard]] Status RecoverLegacyLocked();
-  [[nodiscard]] Status RecoverIncrementalLocked();
-  // One-shot schema migration: deletes the legacy monolithic blobs and
-  // writes the recovered state under per-entry keys.
-  [[nodiscard]] Status MigrateToIncrementalLocked();
+  [[nodiscard]] Status RecoverEntriesLocked();
   // Commits the staged transaction.  On a store failure the server
   // FAIL-STOPS (FailStopLocked) and the halt status is returned; the
   // in-memory state that was never persisted must not keep running, or
@@ -617,6 +598,7 @@ class AgentServer {
 
   // --- helpers ---------------------------------------------------------
   [[nodiscard]] DomainItem* FindItemByDomainId(DomainId id);
+  [[nodiscard]] DomainItem* FindItemByIndex(std::size_t deployment_index);
   // Wire tag for frames stamped by `domain`'s core (0 for the matrix
   // core, which is never written on the wire).  Caller holds mutex_.
   [[nodiscard]] std::uint8_t CoreTagFor(DomainId domain) const;

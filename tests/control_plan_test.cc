@@ -1,12 +1,14 @@
 // Plan-level tests of the control plane: operation helpers, remap
-// derivation, epoch-record round trips, and -- the theorem guard --
-// rejection of cycle-introducing proposals before any store is touched.
+// derivation, epoch-record round trips, the cutover's drained-store
+// precondition, and -- the theorem guard -- rejection of
+// cycle-introducing proposals before any store is touched.
 #include "control/plan.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "control/coordinator.h"
 #include "control/epoch.h"
 #include "domains/config_io.h"
 
@@ -234,6 +236,40 @@ TEST(EpochRecordCodec, StoreHelpersReadBackWhatWasWritten) {
   auto epoch = CurrentEpochOf(store);
   ASSERT_TRUE(epoch.ok());
   EXPECT_EQ(epoch.value(), 4u);
+}
+
+TEST(CutoverStore, RefusesAStoreHoldingAnyQueueKey) {
+  auto old_config = ThreeDomainChain();
+  auto new_config = AddServerToDomain(old_config, ServerId(6), DomainId(2));
+  ASSERT_TRUE(new_config.ok()) << new_config.status();
+  auto plan = ReconfigPlan::Build(0, old_config, new_config.value());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  // Control: a drained store cuts over.
+  {
+    mom::InMemoryStore store;
+    ASSERT_TRUE(Coordinator::CutoverStore(store, ServerId(0), plan.value())
+                    .ok());
+    EXPECT_EQ(CurrentEpochOf(store).value(), 1u);
+  }
+  // One surviving entry under any queue prefix -- including a forward
+  // still parked in a router's DRR stage -- belongs to the old epoch
+  // and must block the cutover, leaving the store untouched.
+  for (const char* key :
+       {"qout/00000000000000000001", "qin/0000000000000001",
+        "hold/0000/00000000000000000001", "fwd/0000000000000001"}) {
+    SCOPED_TRACE(key);
+    mom::InMemoryStore store;
+    store.Put(key, Bytes{0x01});
+    ASSERT_TRUE(store.Commit().ok());
+    const Status status =
+        Coordinator::CutoverStore(store, ServerId(0), plan.value());
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+    const std::string prefix(key, std::string_view(key).find('/') + 1);
+    EXPECT_NE(status.message().find(prefix), std::string::npos) << status;
+    EXPECT_EQ(CurrentEpochOf(store).value(), 0u);
+    EXPECT_EQ(store.Keys(""), std::vector<std::string>{key});
+  }
 }
 
 }  // namespace

@@ -1,37 +1,11 @@
-// Unit and property tests for Lamport and vector clocks.
+// Unit and property tests for vector clocks.
 #include <gtest/gtest.h>
 
-#include "clocks/lamport_clock.h"
 #include "clocks/vector_clock.h"
 #include "common/rng.h"
 
 namespace cmom::clocks {
 namespace {
-
-TEST(LamportClock, TickIncreasesMonotonically) {
-  LamportClock clock;
-  EXPECT_EQ(clock.now(), 0u);
-  EXPECT_EQ(clock.Tick(), 1u);
-  EXPECT_EQ(clock.Tick(), 2u);
-  EXPECT_EQ(clock.now(), 2u);
-}
-
-TEST(LamportClock, WitnessJumpsPastRemote) {
-  LamportClock clock;
-  clock.Tick();
-  EXPECT_EQ(clock.Witness(10), 11u);
-  EXPECT_EQ(clock.Witness(3), 12u);  // already past; still advances
-}
-
-TEST(LamportClock, MessageOrderingProperty) {
-  // send at a, receive at b => a's send time < b's receive time.
-  LamportClock a, b;
-  for (int i = 0; i < 50; ++i) {
-    const std::uint64_t sent = a.Tick();
-    const std::uint64_t received = b.Witness(sent);
-    EXPECT_LT(sent, received);
-  }
-}
 
 TEST(VectorClock, FreshClocksAreEqual) {
   VectorClock a(4), b(4);

@@ -65,7 +65,7 @@ TEST(InMemoryStore, KeysWithPrefix) {
   InMemoryStore store;
   store.Put("agent/1", B({1}));
   store.Put("agent/2", B({1}));
-  store.Put("channel/clocks", B({1}));
+  store.Put("clk/0000", B({1}));
   ASSERT_TRUE(store.Commit().ok());
   store.Put("agent/3", B({1}));     // staged-only key
   store.Delete("agent/1");          // staged delete
