@@ -117,9 +117,9 @@ void BM_StampEncodedSize(benchmark::State& state) {
 }
 BENCHMARK(BM_StampEncodedSize)->Arg(4)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
 
-// The four causal_core choices a config can name, swept side by side:
-// the paper's matrix baseline in both stamp modes, the Drummond-Barbosa
-// reduced core, and the Almeida-style hybrid core.  The second range
+// The three causal_core choices a config can name, swept side by side:
+// the paper's matrix baseline in both stamp modes and the Almeida-style
+// hybrid core.  The second range
 // argument indexes this table; each JSON row is labeled with the core
 // name so downstream tooling can group per-core series.
 struct CoreChoice {
@@ -130,7 +130,6 @@ struct CoreChoice {
 constexpr CoreChoice kCoreChoices[] = {
     {"matrix_full", CausalCoreKind::kMatrix, StampMode::kFullMatrix},
     {"matrix_updates", CausalCoreKind::kMatrix, StampMode::kUpdates},
-    {"reduced", CausalCoreKind::kReduced, StampMode::kUpdates},
     {"hybrid", CausalCoreKind::kHybrid, StampMode::kUpdates},
 };
 
@@ -154,7 +153,7 @@ void BM_CorePrepareSend(benchmark::State& state) {
       stamps == 0 ? 0 : static_cast<double>(bytes) / static_cast<double>(stamps);
 }
 BENCHMARK(BM_CorePrepareSend)
-    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2, 3}})
+    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2}})
     ->ArgNames({"s", "core"});
 
 void BM_CoreCheckAndDeliver(benchmark::State& state) {
@@ -174,7 +173,7 @@ void BM_CoreCheckAndDeliver(benchmark::State& state) {
   state.SetLabel(choice.name);
 }
 BENCHMARK(BM_CoreCheckAndDeliver)
-    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2, 3}})
+    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2}})
     ->ArgNames({"s", "core"});
 
 void BM_ClockStatePersistImage(benchmark::State& state) {

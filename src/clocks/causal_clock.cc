@@ -134,6 +134,11 @@ Result<CausalDomainClock> CausalDomainClock::DecodeStateTail(
   }
   auto matrix = MatrixClock::Decode(in);
   if (!matrix.ok()) return matrix.status();
+  // The self id indexes the matrix on every send and check.  This also
+  // refuses sentinel-tagged records of other cores (self 0xFFFF).
+  if (self.value() >= matrix.value().size()) {
+    return Status::DataLoss("clock self id outside its domain");
+  }
   auto tracker = UpdatesTracker::Decode(in);
   if (!tracker.ok()) return tracker.status();
   CausalDomainClock clock;

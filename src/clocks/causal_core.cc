@@ -18,7 +18,6 @@ std::string_view CausalCoreKindName(CausalCoreKind kind) {
   switch (kind) {
     case CausalCoreKind::kMatrix: return "matrix";
     case CausalCoreKind::kHybrid: return "hybrid";
-    case CausalCoreKind::kReduced: return "reduced";
   }
   return "?";
 }
@@ -26,7 +25,6 @@ std::string_view CausalCoreKindName(CausalCoreKind kind) {
 std::optional<CausalCoreKind> ParseCausalCoreKind(std::string_view name) {
   if (name == "matrix") return CausalCoreKind::kMatrix;
   if (name == "hybrid") return CausalCoreKind::kHybrid;
-  if (name == "reduced") return CausalCoreKind::kReduced;
   return std::nullopt;
 }
 
@@ -34,7 +32,6 @@ std::size_t CausalCoreStampCost(CausalCoreKind kind,
                                 std::size_t domain_size) {
   switch (kind) {
     case CausalCoreKind::kMatrix: return domain_size * domain_size;
-    case CausalCoreKind::kReduced: return domain_size;
     case CausalCoreKind::kHybrid: return 1;
   }
   return domain_size * domain_size;
@@ -49,104 +46,6 @@ void CausalCore::PrepareSendBatch(DomainServerId dest, std::size_t count,
 bool MatrixClockCore::Equals(const CausalCore& other) const {
   const auto* rhs = dynamic_cast<const MatrixClockCore*>(&other);
   return rhs != nullptr && clock_ == rhs->clock_;
-}
-
-// ---------------------------------------------------------------------------
-// ReducedMatrixCore
-
-ReducedMatrixCore::ReducedMatrixCore(DomainServerId self,
-                                     std::size_t domain_size)
-    : self_(self), matrix_(domain_size), tracker_(domain_size) {
-  assert(self.value() < domain_size);
-}
-
-Stamp ReducedMatrixCore::PrepareSend(DomainServerId dest) {
-  assert(dest.value() < matrix_.size());
-  matrix_.Increment(self_, dest);
-  ++version_;
-  tracker_.NoteChange(self_, dest, std::nullopt);
-  Stamp stamp = tracker_.CollectFor(dest, matrix_);
-  // Top the delta up to the complete destination column so the
-  // receiver's delivery check never depends on link history.  Column
-  // cells the delta already carries are not repeated.
-  for (std::uint16_t row = 0; row < matrix_.size(); ++row) {
-    const DomainServerId r{row};
-    const std::uint64_t value = matrix_.at(r, dest);
-    if (value == 0) continue;
-    if (stamp.Find(r, dest) == nullptr) {
-      stamp.entries.push_back(StampEntry{r, dest, value});
-    }
-  }
-  return stamp;
-}
-
-CheckResult ReducedMatrixCore::CheckReceive(DomainServerId src,
-                                            const Stamp& stamp) const {
-  const StampEntry* own = FindOwnEntry(matrix_.size(), src, self_, stamp);
-  if (own == nullptr) return CheckResult::kMalformed;
-  const std::uint64_t delivered = matrix_.at(src, self_);
-  if (own->value <= delivered) return CheckResult::kDuplicate;
-  if (own->value > delivered + 1) return CheckResult::kHold;  // FIFO gap
-  for (const StampEntry& e : stamp.entries) {
-    if (e.col != self_ || e.row == src) continue;
-    if (e.value > matrix_.at(e.row, e.col)) return CheckResult::kHold;
-  }
-  return CheckResult::kDeliver;
-}
-
-void ReducedMatrixCore::OnDeliver(DomainServerId src, const Stamp& stamp) {
-  bool changed = false;
-  for (const StampEntry& e : stamp.entries) {
-    if (e.value > matrix_.at(e.row, e.col)) {
-      matrix_.set(e.row, e.col, e.value);
-      tracker_.NoteChange(e.row, e.col, src);
-      changed = true;
-    }
-  }
-  if (changed) ++version_;
-}
-
-std::unique_ptr<CausalCore> ReducedMatrixCore::Remap(
-    DomainServerId new_self, std::size_t new_size,
-    std::span<const std::optional<DomainServerId>> old_of_new) const {
-  assert(new_self.value() < new_size);
-  auto out = std::unique_ptr<ReducedMatrixCore>(new ReducedMatrixCore());
-  out->self_ = new_self;
-  out->matrix_ = matrix_.Remap(new_size, old_of_new);
-  out->tracker_ = tracker_.Remap(new_size, old_of_new);
-  return out;
-}
-
-void ReducedMatrixCore::EncodeState(ByteWriter& out) const {
-  out.WriteU16(kCoreStateSentinel);
-  out.WriteU8(static_cast<std::uint8_t>(CausalCoreKind::kReduced));
-  out.WriteU16(self_.value());
-  matrix_.Encode(out);
-  tracker_.Encode(out);
-}
-
-Result<std::unique_ptr<CausalCore>> ReducedMatrixCore::DecodeBody(
-    ByteReader& in) {
-  auto self = in.ReadU16();
-  if (!self.ok()) return self.status();
-  auto matrix = MatrixClock::Decode(in);
-  if (!matrix.ok()) return matrix.status();
-  auto tracker = UpdatesTracker::Decode(in);
-  if (!tracker.ok()) return tracker.status();
-  if (self.value() >= matrix.value().size()) {
-    return Status::DataLoss("reduced core self id out of range");
-  }
-  auto core = std::unique_ptr<ReducedMatrixCore>(new ReducedMatrixCore());
-  core->self_ = DomainServerId(self.value());
-  core->matrix_ = std::move(matrix).value();
-  core->tracker_ = std::move(tracker).value();
-  return std::unique_ptr<CausalCore>(std::move(core));
-}
-
-bool ReducedMatrixCore::Equals(const CausalCore& other) const {
-  const auto* rhs = dynamic_cast<const ReducedMatrixCore*>(&other);
-  return rhs != nullptr && self_ == rhs->self_ && matrix_ == rhs->matrix_ &&
-         tracker_ == rhs->tracker_;
 }
 
 // ---------------------------------------------------------------------------
@@ -415,8 +314,6 @@ std::unique_ptr<CausalCore> MakeCausalCore(CausalCoreKind kind,
       return std::make_unique<MatrixClockCore>(self, domain_size, mode);
     case CausalCoreKind::kHybrid:
       return std::make_unique<HybridBufferingCore>(self, domain_size);
-    case CausalCoreKind::kReduced:
-      return std::make_unique<ReducedMatrixCore>(self, domain_size);
   }
   return std::make_unique<MatrixClockCore>(self, domain_size, mode);
 }
@@ -437,8 +334,6 @@ Result<std::unique_ptr<CausalCore>> DecodeCausalCoreState(ByteReader& in) {
   switch (static_cast<CausalCoreKind>(kind.value())) {
     case CausalCoreKind::kHybrid:
       return HybridBufferingCore::DecodeBody(in);
-    case CausalCoreKind::kReduced:
-      return ReducedMatrixCore::DecodeBody(in);
     case CausalCoreKind::kMatrix:
       break;  // the matrix core never writes tagged records
   }

@@ -2,11 +2,10 @@
 //
 // The paper's per-domain matrix clock is one point in a design space:
 // Almeida's hybrid buffering (constant-size timestamps, receiver-side
-// hold-back keyed on per-link FIFO plus causal barriers) and the
-// Drummond-Barbosa matrix-clock complexity reduction attack the O(s^2)
-// timestamp cost that caps domain size.  CausalCore factors the causal
-// layer behind a strategy interface so the same middleware, benches and
-// chaos harness can compare all three.
+// hold-back keyed on per-link FIFO plus causal barriers) attacks the
+// O(s^2) timestamp cost that caps domain size.  CausalCore factors the
+// causal layer behind a strategy interface so the same middleware,
+// benches and chaos harness can compare them.
 //
 // Every core implements *exact* per-domain causal delivery: a message
 // from src to self is deliverable iff every message destined to self in
@@ -17,11 +16,6 @@
 //
 //   kMatrix   O(s^2) state, stamps O(s^2) full / O(delta) in Updates
 //             mode.  Wraps the existing CausalDomainClock bit-exactly.
-//   kReduced  O(s^2) state, stamps O(s + delta): the Drummond-Barbosa
-//             observation that the delivery condition only reads the
-//             destination column, so each stamp carries that column in
-//             full plus the Appendix-A delta for transitive knowledge.
-//             Never ships the s^2 matrix.
 //   kHybrid   O(s^2) counters of local state (the heard matrix), stamps
 //             O(inflight): per-link FIFO sequence numbers plus an
 //             explicit causal-barrier set (the possibly-undelivered
@@ -35,8 +29,8 @@
 // fence frames stamped by a different core.  Durable state begins with
 // a u16: the legacy matrix image starts with the self id (< 0xFFFF),
 // new cores write the 0xFFFF sentinel, a kind byte, then a per-kind
-// payload -- so pre-core stores load unchanged and old binaries reject
-// new records cleanly (the kind byte lands in the stamp-mode slot).
+// payload -- so pre-core stores load unchanged, and the legacy matrix
+// decoder refuses new records (0xFFFF is no valid self id).
 #pragma once
 
 #include <cstdint>
@@ -59,19 +53,20 @@ namespace cmom::clocks {
 enum class CausalCoreKind : std::uint8_t {
   kMatrix = 0,  // the paper's baseline; wire tag 0 is never sent
   kHybrid = 1,
-  kReduced = 2,
+  // 2 is retired (the reduced core) and must never be reused: old
+  // stores and frames may still carry it, and must stay refused.
 };
 
-// Human-readable name ("matrix" / "hybrid" / "reduced"), as written in
-// config files and printed by momtool.
+// Human-readable name ("matrix" / "hybrid"), as written in config files
+// and printed by momtool.
 [[nodiscard]] std::string_view CausalCoreKindName(CausalCoreKind kind);
 [[nodiscard]] std::optional<CausalCoreKind> ParseCausalCoreKind(
     std::string_view name);
 
 // Per-server steady-state stamp cost model used by the momtool topo
-// lint and the splitter scoring: O(s^2) matrix, O(s) reduced, O(1)
-// hybrid.  Returned in "cells" (stamp entries), comparable across
-// domains the way the paper's sum-of-s^2 figure is.
+// lint and the splitter scoring: O(s^2) matrix, O(1) hybrid.  Returned
+// in "cells" (stamp entries), comparable across domains the way the
+// paper's sum-of-s^2 figure is.
 [[nodiscard]] std::size_t CausalCoreStampCost(CausalCoreKind kind,
                                               std::size_t domain_size);
 
@@ -184,48 +179,6 @@ class MatrixClockCore final : public CausalCore {
 
  private:
   CausalDomainClock clock_;
-};
-
-// (3, listed second because it shares the matrix representation) The
-// Drummond-Barbosa complexity reduction: keep the full matrix locally
-// but never ship it.  Each stamp carries the complete destination
-// column (everything the delivery condition reads, so the check is
-// self-contained) plus the Appendix-A delta of entries changed since
-// the last send to that destination (so transitive knowledge still
-// propagates and other columns stay warm).  O(s + delta) per message.
-class ReducedMatrixCore final : public CausalCore {
- public:
-  ReducedMatrixCore(DomainServerId self, std::size_t domain_size);
-
-  [[nodiscard]] CausalCoreKind kind() const override {
-    return CausalCoreKind::kReduced;
-  }
-  [[nodiscard]] DomainServerId self() const override { return self_; }
-  [[nodiscard]] std::size_t domain_size() const override {
-    return matrix_.size();
-  }
-  [[nodiscard]] Stamp PrepareSend(DomainServerId dest) override;
-  [[nodiscard]] CheckResult CheckReceive(DomainServerId src,
-                                         const Stamp& stamp) const override;
-  void OnDeliver(DomainServerId src, const Stamp& stamp) override;
-  [[nodiscard]] std::unique_ptr<CausalCore> Remap(
-      DomainServerId new_self, std::size_t new_size,
-      std::span<const std::optional<DomainServerId>> old_of_new)
-      const override;
-  void EncodeState(ByteWriter& out) const override;
-  [[nodiscard]] std::uint64_t version() const override { return version_; }
-  [[nodiscard]] bool Equals(const CausalCore& other) const override;
-
-  [[nodiscard]] static Result<std::unique_ptr<CausalCore>> DecodeBody(
-      ByteReader& in);
-
- private:
-  ReducedMatrixCore() = default;
-
-  DomainServerId self_;
-  MatrixClock matrix_;
-  UpdatesTracker tracker_;
-  std::uint64_t version_ = 0;
 };
 
 // (2) Almeida-style hybrid buffering.  No matrix at all: per-link FIFO

@@ -32,14 +32,20 @@ std::vector<std::string> Tokenize(std::string_view line) {
   return tokens;
 }
 
-Result<std::uint64_t> ParseUnsigned(const std::string& token) {
+// Server ids, domain ids and the dense server count are all u16: a
+// larger value would silently wrap onto another id, or (as a count)
+// allocate without bound before validation could refuse it.
+Result<std::uint16_t> ParseU16(const std::string& token) {
   std::uint64_t value = 0;
   auto [ptr, ec] =
       std::from_chars(token.data(), token.data() + token.size(), value);
   if (ec != std::errc() || ptr != token.data() + token.size()) {
     return Status::InvalidArgument("not a number: '" + token + "'");
   }
-  return value;
+  if (value > 0xFFFF) {
+    return Status::InvalidArgument("'" + token + "' exceeds 65535");
+  }
+  return static_cast<std::uint16_t>(value);
 }
 
 Result<double> ParseDouble(const std::string& token) {
@@ -86,32 +92,29 @@ Result<MomConfig> ParseMomConfig(std::string_view text) {
       if (saw_servers) return error("duplicate 'servers' line");
       saw_servers = true;
       if (tokens.size() == 3) {
-        auto count = ParseUnsigned(tokens[2]);
+        auto count = ParseU16(tokens[2]);
         if (!count.ok()) return error(count.status().message());
-        for (std::uint64_t i = 0; i < count.value(); ++i) {
-          config.servers.push_back(
-              ServerId(static_cast<std::uint16_t>(i)));
+        for (std::uint16_t i = 0; i < count.value(); ++i) {
+          config.servers.push_back(ServerId(i));
         }
       } else {
         for (std::size_t t = 2; t < tokens.size(); ++t) {
-          auto id = ParseUnsigned(tokens[t]);
+          auto id = ParseU16(tokens[t]);
           if (!id.ok()) return error(id.status().message());
-          config.servers.push_back(
-              ServerId(static_cast<std::uint16_t>(id.value())));
+          config.servers.push_back(ServerId(id.value()));
         }
       }
     } else if (tokens[0] == "domain") {
       if (tokens.size() < 4 || tokens[2] != "=") {
         return error("expected 'domain <id> = <member list>'");
       }
-      auto id = ParseUnsigned(tokens[1]);
+      auto id = ParseU16(tokens[1]);
       if (!id.ok()) return error(id.status().message());
-      DomainSpec domain{DomainId(static_cast<std::uint16_t>(id.value())), {}};
+      DomainSpec domain{DomainId(id.value()), {}};
       for (std::size_t t = 3; t < tokens.size(); ++t) {
-        auto member = ParseUnsigned(tokens[t]);
+        auto member = ParseU16(tokens[t]);
         if (!member.ok()) return error(member.status().message());
-        domain.members.push_back(
-            ServerId(static_cast<std::uint16_t>(member.value())));
+        domain.members.push_back(ServerId(member.value()));
       }
       config.domains.push_back(std::move(domain));
     } else if (tokens[0] == "stamp_mode") {
@@ -135,13 +138,13 @@ Result<MomConfig> ParseMomConfig(std::string_view text) {
         }
         config.causal_core = *kind;
       } else if (tokens.size() == 4 && tokens[2] == "=") {
-        auto id = ParseUnsigned(tokens[1]);
+        auto id = ParseU16(tokens[1]);
         if (!id.ok()) return error(id.status().message());
         auto kind = clocks::ParseCausalCoreKind(tokens[3]);
         if (!kind.has_value()) {
           return error("unknown causal core '" + tokens[3] + "'");
         }
-        const DomainId domain(static_cast<std::uint16_t>(id.value()));
+        const DomainId domain(id.value());
         for (const auto& [existing, _] : config.causal_core_overrides) {
           if (existing == domain) {
             return error("duplicate causal_core override for domain " +
@@ -152,7 +155,7 @@ Result<MomConfig> ParseMomConfig(std::string_view text) {
       } else {
         return error(
             "expected 'causal_core = <kind>' or 'causal_core <domain> = "
-            "<kind>' with kind matrix|reduced|hybrid");
+            "<kind>' with kind matrix|hybrid");
       }
     } else if (tokens[0] == "allow_cyclic") {
       if (tokens.size() != 3 || tokens[1] != "=") {
@@ -238,9 +241,9 @@ Result<TrafficProfile> ParseTrafficProfile(std::string_view text) {
           "line " + std::to_string(line_number) +
           ": expected '<from> <to> <weight>'");
     }
-    auto from = ParseUnsigned(tokens[0]);
+    auto from = ParseU16(tokens[0]);
     if (!from.ok()) return from.status();
-    auto to = ParseUnsigned(tokens[1]);
+    auto to = ParseU16(tokens[1]);
     if (!to.ok()) return to.status();
     auto weight = ParseDouble(tokens[2]);
     if (!weight.ok()) return weight.status();
@@ -248,9 +251,7 @@ Result<TrafficProfile> ParseTrafficProfile(std::string_view text) {
       return Status::InvalidArgument("line " + std::to_string(line_number) +
                                      ": negative weight");
     }
-    entries.push_back(Entry{static_cast<std::size_t>(from.value()),
-                            static_cast<std::size_t>(to.value()),
-                            weight.value()});
+    entries.push_back(Entry{from.value(), to.value(), weight.value()});
     max_server = std::max({max_server, entries.back().from,
                            entries.back().to});
   }

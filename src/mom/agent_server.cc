@@ -18,6 +18,10 @@ namespace {
 // schema (mom/store_schema.h) and is refused at Boot.
 constexpr std::string_view kRetiredBlobKeys[] = {
     "channel/clocks", "channel/qout", "engine/qin", "channel/holdback"};
+// Max inbox frames processed per Channel work item (one commit, acks
+// coalesced per peer), and max staged forwards stamped per forwarding
+// work item.
+constexpr std::size_t kChannelBatch = 16;
 }  // namespace
 
 // Buffers the sends an agent makes during React; they are committed
@@ -370,7 +374,7 @@ void AgentServer::HandleFrame(ServerId from, Bytes frame) {
   }
 }
 
-// One Channel transaction: processes up to channel_batch inbox frames,
+// One Channel transaction: processes up to kChannelBatch inbox frames,
 // commits everything they changed in one store transaction, then sends
 // one coalesced ack frame per peer.  Under load the per-message commit
 // (and ack frame) count drops toward 1/batch; when frames trickle in
@@ -381,8 +385,7 @@ std::size_t AgentServer::DrainInbox() {
   commit_needed_ = false;
   std::size_t entries = 0;
   std::size_t processed = 0;
-  const std::size_t limit = std::max<std::size_t>(1, options_.channel_batch);
-  while (!inbox_.empty() && processed < limit) {
+  while (!inbox_.empty() && processed < kChannelBatch) {
     DecodedFrame frame = std::move(inbox_.front());
     inbox_.pop_front();
     ++processed;
@@ -1078,16 +1081,15 @@ void AgentServer::StageForward(DomainId source, Message message) {
   }
 }
 
-// One forwarding transaction: pops up to channel_batch staged messages
+// One forwarding transaction: pops up to kChannelBatch staged messages
 // via deficit round robin, stamps each toward its next hop, deletes its
 // fwd/ record, and commits the batch.
 std::size_t AgentServer::ForwardStep() {
   forward_step_queued_ = false;
   if (forward_stage_.empty()) return 0;
   std::size_t entries = 0;
-  const std::size_t budget = std::max<std::size_t>(1, options_.channel_batch);
   forward_stage_.Drain(
-      budget,
+      kChannelBatch,
       [&](DomainId source, ForwardEntry&& staged) {
         (void)source;
         StoreDelete(FwdKey(staged.seq));
@@ -1681,6 +1683,18 @@ Status AgentServer::RecoverEntriesLocked() {
           std::string(clocks::CausalCoreKindName(core.value()->kind())) +
           " core for " + to_string(item->id) + " but the config runs " +
           std::string(clocks::CausalCoreKindName(item->core->kind())));
+    }
+    // So must its geometry: a core for another position or membership
+    // would index its matrix out of range on the first send.
+    if (core.value()->self() != item->core->self() ||
+        core.value()->domain_size() != item->core->domain_size()) {
+      return Status::FailedPrecondition(
+          "store holds the " + to_string(item->id) + " core of member " +
+          std::to_string(core.value()->self().value()) + " of " +
+          std::to_string(core.value()->domain_size()) +
+          " but the config makes this server member " +
+          std::to_string(item->core->self().value()) + " of " +
+          std::to_string(item->core->domain_size()));
     }
     item->core = std::move(core).value();
     item->persisted_clock_version = item->core->version();

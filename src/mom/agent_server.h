@@ -21,7 +21,7 @@
 //               the stamped sends it produced, commit, emit frames
 //
 // Batching: incoming frames land in an inbox and are drained up to
-// `channel_batch` per work item, committing the whole batch in ONE
+// `kChannelBatch` per work item, committing the whole batch in ONE
 // store transaction and coalescing the acks into one frame per peer.
 // Likewise the Engine drains up to `engine_batch` QueueIN messages per
 // work item and commits all their reactions together.  Batches are
@@ -125,9 +125,6 @@ struct AgentServerOptions {
   std::uint32_t max_retransmit_attempts = 0;
   // Max QueueIN messages reacted to per Engine work item (one commit).
   std::size_t engine_batch = 16;
-  // Max inbox frames processed per Channel work item (one commit, acks
-  // coalesced per peer).
-  std::size_t channel_batch = 16;
   // Engine shard workers (see header comment).  0 = historical inline
   // engine.  >0 requires a runtime whose MakeExecutor returns real
   // threads (ThreadRuntime); otherwise the server falls back to inline
@@ -421,7 +418,7 @@ class AgentServer {
 
   // --- channel -------------------------------------------------------
   void HandleFrame(ServerId from, Bytes frame);
-  // Processes up to channel_batch inbox frames in one transaction.
+  // Processes up to kChannelBatch inbox frames in one transaction.
   std::size_t DrainInbox();
   std::size_t ProcessDataFrame(ServerId from, DataFrame frame);
   std::size_t ProcessAck(ServerId from, const AckFrame& ack);

@@ -17,7 +17,6 @@ mom::AgentServerOptions ThreadedHarness::ServerOptions(std::uint64_t epoch) {
   server_options.trace = &trace_;
   server_options.retransmit_timeout_ns = options_.retransmit_timeout_ns;
   server_options.engine_batch = options_.engine_batch;
-  server_options.channel_batch = options_.channel_batch;
   server_options.engine_workers = options_.engine_workers;
   server_options.flow = options_.flow;
   server_options.epoch = epoch;

@@ -47,10 +47,9 @@ struct ThreadedHarnessOptions {
   // control plane the raw store, so reconfig rewrites (operator
   // actions, not data-path writes) are never fault-injected.
   std::optional<mom::FaultyStoreOptions> store_fault;
-  // Batching limits, forwarded to every server (see
+  // Engine batching limit, forwarded to every server (see
   // AgentServerOptions).
   std::size_t engine_batch = 16;
-  std::size_t channel_batch = 16;
   // Engine shard workers per server (0 = inline engine).  The threaded
   // runtime supports real parallelism, so this is where the knob does
   // something; see AgentServerOptions::engine_workers.

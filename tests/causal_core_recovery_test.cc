@@ -2,11 +2,13 @@
 // survive a mid-traffic crash byte-identically -- including with the
 // hold-back queue populated and with commit failures injected by the
 // FaultyStore decorator -- and recovery must cross-check the stored
-// core kind against the configured one instead of misinterpreting the
-// bytes.
+// core kind and geometry against the configured ones instead of
+// misinterpreting the bytes.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "causality/checker.h"
@@ -16,6 +18,7 @@
 #include "mom/agent_server.h"
 #include "mom/faulty_store.h"
 #include "mom/store.h"
+#include "mom/store_schema.h"
 #include "net/sim_network.h"
 #include "workload/agents.h"
 #include "workload/sim_harness.h"
@@ -116,8 +119,7 @@ TEST_P(CausalCoreRecovery, MidTrafficCrashRestoresTheExactImage) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreRecovery,
                          ::testing::Values(CausalCoreKind::kMatrix,
-                                           CausalCoreKind::kHybrid,
-                                           CausalCoreKind::kReduced),
+                                           CausalCoreKind::kHybrid),
                          [](const auto& info) {
                            return std::string(
                                CausalCoreKindName(info.param));
@@ -213,8 +215,7 @@ TEST_P(CausalCoreFailStop, CommitFailureThenRebootRecoversExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreFailStop,
                          ::testing::Values(CausalCoreKind::kMatrix,
-                                           CausalCoreKind::kHybrid,
-                                           CausalCoreKind::kReduced),
+                                           CausalCoreKind::kHybrid),
                          [](const auto& info) {
                            return std::string(
                                CausalCoreKindName(info.param));
@@ -267,6 +268,79 @@ TEST(CausalCoreRecoveryGuard, BootRejectsAStoreWrittenByADifferentCore) {
   const Status boot = server1->Boot();
   EXPECT_EQ(boot.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(boot.to_string().find("hybrid"), std::string::npos) << boot;
+}
+
+std::map<std::string, Bytes> Contents(mom::InMemoryStore& store) {
+  std::map<std::string, Bytes> contents;
+  for (const std::string& key : store.Keys("")) {
+    contents.emplace(key, store.Get(key).value());
+  }
+  return contents;
+}
+
+// Replaces S1's clk/ record for Flat(2)'s only domain with `record`,
+// reboots S1 and returns the Boot status.  A refusal must leave the
+// store exactly as the test left it: it commits nothing, not even the
+// incarnation bump.
+Status RebootOverClockRecord(const Bytes& record) {
+  SimHarness harness(Flat(2), FastOptions());
+  EXPECT_TRUE(harness.Init().ok());
+  EXPECT_TRUE(harness.BootAll().ok());
+  EXPECT_TRUE(harness.Send(ServerId(0), 1, ServerId(1), 1, "a").ok());
+  harness.Run();
+
+  harness.Crash(ServerId(1));
+  mom::InMemoryStore& store = harness.store(ServerId(1));
+  EXPECT_TRUE(store.Get(mom::ClockKey(0)).has_value());
+  store.Put(mom::ClockKey(0), record);
+  EXPECT_TRUE(store.Commit().ok());
+  const auto before = Contents(store);
+  const std::uint64_t commits = store.commit_count();
+
+  const Status boot = harness.Restart(ServerId(1));
+  if (!boot.ok()) {
+    EXPECT_EQ(store.commit_count(), commits);
+    EXPECT_EQ(Contents(store), before);
+  }
+  return boot;
+}
+
+Bytes MatrixRecord(std::uint16_t self, std::size_t size) {
+  ByteWriter out;
+  clocks::CausalDomainClock(DomainServerId(self), size,
+                            clocks::StampMode::kUpdates)
+      .EncodeState(out);
+  return std::move(out).Take();
+}
+
+TEST(CausalCoreRecoveryGuard, BootRejectsACoreOfTheWrongGeometry) {
+  // S1 is member 1 of a 2-member domain.  A decodable matrix record for
+  // another member or another membership must not be adopted: its
+  // sends would index the matrix out of range.
+  for (const auto& [self, size] :
+       std::vector<std::pair<std::uint16_t, std::size_t>>{
+           {1, 3}, {0, 2}, {0, 1}}) {
+    SCOPED_TRACE(::testing::Message() << "member " << self << " of " << size);
+    const Status boot = RebootOverClockRecord(MatrixRecord(self, size));
+    EXPECT_EQ(boot.code(), StatusCode::kFailedPrecondition) << boot;
+    EXPECT_NE(boot.message().find("member"), std::string::npos) << boot;
+  }
+  // Control: the matching geometry boots.
+  EXPECT_TRUE(RebootOverClockRecord(MatrixRecord(1, 2)).ok());
+}
+
+TEST(CausalCoreRecoveryGuard, BootRejectsARecordOfTheRetiredReducedCore) {
+  // Kind 2 belonged to the retired reduced core.  A store that still
+  // holds such a record fails Boot as unknown-kind data loss.
+  ByteWriter out;
+  out.WriteU16(0xFFFF);
+  out.WriteU8(2);
+  out.WriteU16(1);
+  clocks::MatrixClock(2).Encode(out);
+  clocks::UpdatesTracker(2).Encode(out);
+  const Status boot = RebootOverClockRecord(std::move(out).Take());
+  EXPECT_EQ(boot.code(), StatusCode::kDataLoss) << boot;
+  EXPECT_NE(boot.message().find("kind 2"), std::string::npos) << boot;
 }
 
 }  // namespace

@@ -30,17 +30,16 @@ Bytes EncodeCore(const CausalCore& core) {
 
 TEST(CausalCoreKindTest, NamesAndParseRoundTrip) {
   for (CausalCoreKind kind :
-       {CausalCoreKind::kMatrix, CausalCoreKind::kHybrid,
-        CausalCoreKind::kReduced}) {
+       {CausalCoreKind::kMatrix, CausalCoreKind::kHybrid}) {
     EXPECT_EQ(ParseCausalCoreKind(CausalCoreKindName(kind)), kind);
   }
   EXPECT_FALSE(ParseCausalCoreKind("vector").has_value());
+  EXPECT_FALSE(ParseCausalCoreKind("reduced").has_value());  // retired
   EXPECT_FALSE(ParseCausalCoreKind("").has_value());
 }
 
 TEST(CausalCoreKindTest, StampCostModel) {
   EXPECT_EQ(CausalCoreStampCost(CausalCoreKind::kMatrix, 8), 64u);
-  EXPECT_EQ(CausalCoreStampCost(CausalCoreKind::kReduced, 8), 8u);
   EXPECT_EQ(CausalCoreStampCost(CausalCoreKind::kHybrid, 8), 1u);
 }
 
@@ -170,8 +169,7 @@ TEST_P(CausalCoreCodec, DecodedCoreKeepsDeliveringCorrectly) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreCodec,
                          ::testing::Values(CausalCoreKind::kMatrix,
-                                           CausalCoreKind::kHybrid,
-                                           CausalCoreKind::kReduced),
+                                           CausalCoreKind::kHybrid),
                          [](const auto& info) {
                            return std::string(
                                CausalCoreKindName(info.param));
@@ -228,22 +226,48 @@ TEST(CausalCoreCodecCompat, LegacyMatrixImageDecodesAsMatrixCore) {
   EXPECT_EQ(EncodeCore(*core.value()), legacy);
 }
 
-TEST(CausalCoreCodecCompat, ReducedRecordIsRejectedByTheLegacyDecoder) {
-  // A reduced-core image must NOT parse as a legacy CausalDomainClock:
-  // the sentinel lands in the self-id slot and the kind byte (2) in the
-  // stamp-mode slot, which the old decoder rejects as out of range.
-  auto reduced = MakeCausalCore(CausalCoreKind::kReduced, D(0), 2,
-                                StampMode::kUpdates);
-  const Bytes image = EncodeCore(*reduced);
-  ByteReader in(image);
-  EXPECT_FALSE(CausalDomainClock::DecodeState(in).ok());
+TEST(CausalCoreCodecCompat, HybridRecordsAreRejectedByTheLegacyDecoder) {
+  // A hybrid-core image must NOT parse as a legacy CausalDomainClock.
+  // The kind byte (1) lands in the stamp-mode slot, where it reads as a
+  // valid mode, so what refuses the record is the 0xFFFF sentinel in
+  // the self-id slot: no domain has that many members.  Checked over
+  // many geometries and states, fresh and after traffic.
+  std::size_t images = 0;
+  for (std::uint16_t size = 1; size <= 6; ++size) {
+    std::vector<std::unique_ptr<CausalCore>> cores;
+    for (std::uint16_t i = 0; i < size; ++i) {
+      cores.push_back(
+          MakeCausalCore(CausalCoreKind::kHybrid, D(i), size,
+                         StampMode::kUpdates));
+    }
+    for (int round = 0; round < 3; ++round) {
+      for (const auto& core : cores) {
+        SCOPED_TRACE(::testing::Message() << "size " << size << " self "
+                                          << core->self() << " round "
+                                          << round);
+        const Bytes image = EncodeCore(*core);
+        ByteReader in(image);
+        EXPECT_FALSE(CausalDomainClock::DecodeState(in).ok());
+        ++images;
+      }
+      // Ring traffic, delivered at once, grows every core's state.
+      for (std::uint16_t src = 0; src + 1 < size; ++src) {
+        const DomainServerId dst = D(src + 1);
+        const Stamp stamp = cores[src]->PrepareSend(dst);
+        ASSERT_EQ(cores[dst.value()]->CheckReceive(D(src), stamp),
+                  CheckResult::kDeliver);
+        cores[dst.value()]->OnDeliver(D(src), stamp);
+      }
+    }
+  }
+  EXPECT_EQ(images, 63u);
 }
 
 TEST(CausalCoreCodecCompat, UnknownKindAndTruncationAreDataLoss) {
-  {
+  for (std::uint8_t kind : {2, 7}) {  // 2: the retired reduced core
     ByteWriter out;
     out.WriteU16(0xFFFF);
-    out.WriteU8(7);  // no such core
+    out.WriteU8(kind);  // no such core
     const Bytes bytes = std::move(out).Take();
     ByteReader in(bytes);
     EXPECT_EQ(DecodeCausalCoreState(in).status().code(),
@@ -265,6 +289,22 @@ TEST(CausalCoreCodecCompat, UnknownKindAndTruncationAreDataLoss) {
     const Bytes bytes = std::move(out).Take();
     ByteReader in(bytes);
     EXPECT_EQ(DecodeCausalCoreState(in).status().code(),
+              StatusCode::kDataLoss);
+  }
+  {
+    // A legacy matrix record whose self id lies outside its 2-member
+    // matrix: adopting it would index out of range on the first send.
+    const CausalDomainClock clock(D(1), 2, StampMode::kUpdates);
+    ByteWriter out;
+    clock.EncodeState(out);
+    Bytes bytes = std::move(out).Take();
+    bytes[0] = 5;  // the little-endian u16 self id
+    bytes[1] = 0;
+    ByteReader in(bytes);
+    EXPECT_EQ(DecodeCausalCoreState(in).status().code(),
+              StatusCode::kDataLoss);
+    ByteReader legacy(bytes);
+    EXPECT_EQ(CausalDomainClock::DecodeState(legacy).status().code(),
               StatusCode::kDataLoss);
   }
 }
@@ -301,8 +341,7 @@ TEST_P(CausalCoreTransitivity, RelayedMessageWaitsForItsPredecessor) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreTransitivity,
                          ::testing::Values(CausalCoreKind::kMatrix,
-                                           CausalCoreKind::kHybrid,
-                                           CausalCoreKind::kReduced),
+                                           CausalCoreKind::kHybrid),
                          [](const auto& info) {
                            return std::string(
                                CausalCoreKindName(info.param));
@@ -383,8 +422,7 @@ TEST_P(CausalCoreRemapTest, SurvivorsKeepOrderAcrossAPermutedEpoch) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreRemapTest,
                          ::testing::Values(CausalCoreKind::kMatrix,
-                                           CausalCoreKind::kHybrid,
-                                           CausalCoreKind::kReduced),
+                                           CausalCoreKind::kHybrid),
                          [](const auto& info) {
                            return std::string(
                                CausalCoreKindName(info.param));

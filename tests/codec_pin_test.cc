@@ -202,8 +202,6 @@ TEST(CodecPin, Flat32StampsFramesAndImagesAreByteIdentical) {
        0xDF7A579B, 4611631, 0xB7A54A2E, 4667607, 0x08E73DAD, 19356836},
       {"matrix_updates", CausalCoreKind::kMatrix, StampMode::kUpdates,
        0xEBBA8949, 829587, 0xBB3DBE36, 885563, 0x37D02154, 19383427},
-      {"reduced", CausalCoreKind::kReduced, StampMode::kUpdates,
-       0x86CB645C, 849461, 0x57C2C49C, 906937, 0x63378883, 19389427},
       {"hybrid", CausalCoreKind::kHybrid, StampMode::kUpdates,
        0x675B0C8A, 1204201, 0x371AFEAD, 1261677, 0xD9BC9A39, 7909803},
   };

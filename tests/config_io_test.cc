@@ -50,7 +50,7 @@ TEST(ConfigIo, CausalCoreDefaultAndOverrides) {
   auto config = ParseMomConfig(
       "servers = 6\n"
       "causal_core = hybrid\n"
-      "causal_core 1 = reduced\n"
+      "causal_core 1 = matrix\n"
       "domain 0 = 0 1 2\n"
       "domain 1 = 2 3 4\n"
       "domain 2 = 4 5\n");
@@ -59,7 +59,7 @@ TEST(ConfigIo, CausalCoreDefaultAndOverrides) {
   EXPECT_EQ(config.value().CoreFor(DomainId(0)),
             clocks::CausalCoreKind::kHybrid);
   EXPECT_EQ(config.value().CoreFor(DomainId(1)),
-            clocks::CausalCoreKind::kReduced);
+            clocks::CausalCoreKind::kMatrix);
 
   // Format -> parse round trip preserves both the default and the
   // override, and omitting the key means matrix.
@@ -68,7 +68,7 @@ TEST(ConfigIo, CausalCoreDefaultAndOverrides) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.status();
   EXPECT_EQ(reparsed.value().causal_core, clocks::CausalCoreKind::kHybrid);
   EXPECT_EQ(reparsed.value().CoreFor(DomainId(1)),
-            clocks::CausalCoreKind::kReduced);
+            clocks::CausalCoreKind::kMatrix);
   auto plain = ParseMomConfig("servers = 2\ndomain 0 = 0 1\n");
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain.value().causal_core, clocks::CausalCoreKind::kMatrix);
@@ -86,6 +86,58 @@ TEST(ConfigIo, CausalCoreErrors) {
                    .ok());
   EXPECT_FALSE(
       ParseMomConfig("servers = 2\ncausal_core 0 =\ndomain 0 = 0 1\n").ok());
+
+  // The reduced core is retired: naming it, as the default or as an
+  // override, is an unknown core like any other.
+  for (const char* text : {"servers = 2\ncausal_core = reduced\n",
+                           "servers = 2\ncausal_core 0 = reduced\n"}) {
+    auto retired = ParseMomConfig(text);
+    ASSERT_FALSE(retired.ok()) << text;
+    EXPECT_EQ(retired.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(retired.status().message().find("line 2"), std::string::npos);
+    EXPECT_NE(retired.status().message().find("unknown causal core"),
+              std::string::npos)
+        << retired.status();
+  }
+}
+
+TEST(ConfigIo, IdsAndCountsBeyondSixteenBitsAreRefused) {
+  // Server ids, domain ids and the dense server count are u16.  A
+  // larger value is refused on its own line, never wrapped onto another
+  // id (65537 would become 1) or looped over.
+  const char* cases[][2] = {
+      {"servers = 65536 65537\n", "line 1"},
+      {"servers = 65536\n", "line 1"},
+      {"servers = 2\ndomain 65537 = 0 1\n", "line 2"},
+      {"servers = 2\ndomain 0 = 0 65537\n", "line 2"},
+      {"servers = 2\ndomain 0 = 0 1\ncausal_core 65536 = hybrid\n",
+       "line 3"},
+  };
+  for (const auto& [text, line] : cases) {
+    SCOPED_TRACE(text);
+    auto config = ParseMomConfig(text);
+    ASSERT_FALSE(config.ok());
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(config.status().message().find(line), std::string::npos)
+        << config.status();
+    EXPECT_NE(config.status().message().find("65535"), std::string::npos)
+        << config.status();
+  }
+  // The largest id still parses.
+  auto top = ParseMomConfig("servers = 0 65535\ndomain 65535 = 0 65535\n");
+  ASSERT_TRUE(top.ok()) << top.status();
+  EXPECT_EQ(top.value().servers.back(), ServerId(65535));
+  EXPECT_EQ(top.value().domains.front().id, DomainId(65535));
+
+  // A u64-sized count is refused before anything is allocated for it.
+  auto huge = ParseMomConfig("servers = 18446744073709551615\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.status().message().find("line 1"), std::string::npos)
+      << huge.status();
+
+  // Traffic profiles name the same server ids.
+  EXPECT_FALSE(ParseTrafficProfile("0 65536 1.0\n").ok());
+  EXPECT_FALSE(ParseTrafficProfile("18446744073709551615 0 1.0\n").ok());
 }
 
 TEST(ConfigIo, ErrorsCarryLineNumbers) {

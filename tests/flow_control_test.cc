@@ -1,7 +1,8 @@
 // Tests for the flow-control subsystem (src/flow): credit window
 // bookkeeping, deficit-round-robin fairness, engine admission control,
-// dead-letter records, the AckFrame credit trailer, and the end-to-end
-// behavior of a credit-gated bus under tiny watermarks.
+// dead-letter records, the AckFrame credit trailer, adaptive ack
+// coalescing, and the end-to-end behavior of a credit-gated bus under
+// tiny watermarks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,13 +15,19 @@
 #include <utility>
 #include <vector>
 
+#include "causality/checker.h"
 #include "common/status.h"
+#include "domains/deployment.h"
 #include "domains/topologies.h"
 #include "flow/admission.h"
 #include "flow/credits.h"
 #include "flow/dead_letter.h"
 #include "flow/drr.h"
+#include "mom/agent_server.h"
 #include "mom/message.h"
+#include "mom/store.h"
+#include "net/runtime.h"
+#include "net/sim_network.h"
 #include "pubsub/queue.h"
 #include "workload/agents.h"
 #include "workload/threaded_harness.h"
@@ -1059,6 +1066,113 @@ TEST(FlowEndToEnd, ControlSendQueuesBehindTheSameAgentsParkedDataSends) {
   // Call order survived overload: every data send first, control last.
   EXPECT_EQ(subjects.back(), "topic.unsubscribe");
   for (int i = 0; i < kData; ++i) EXPECT_EQ(subjects[i], "queue.put");
+}
+
+// ---------------------------------------------------------------------
+// Adaptive ack coalescing (AgentServerOptions::ack_coalesce_ns)
+// ---------------------------------------------------------------------
+
+struct CoalesceRun {
+  mom::ServerStats sender;
+  mom::ServerStats receiver;
+  std::uint64_t delivered = 0;
+  bool causal = false;
+  bool exactly_once = false;
+};
+
+// S0 bursts `messages` sends at a sink on S1 over a simulated Flat(2),
+// with the receiver holding staged acks for up to `window_ns`.  Both
+// servers are built directly so the window is the only knob that
+// differs between runs; the simulation is deterministic.
+CoalesceRun RunAckCoalescing(std::uint64_t window_ns, const FlowOptions& flow,
+                             int messages) {
+  auto deployment =
+      domains::Deployment::Create(domains::topologies::Flat(2)).value();
+  sim::Simulator simulator;
+  net::SimRuntime runtime(simulator);
+  net::SimNetwork network(simulator, net::CostModel{});
+  causality::TraceRecorder trace;
+  auto endpoint0 = network.CreateEndpoint(ServerId(0)).value();
+  auto endpoint1 = network.CreateEndpoint(ServerId(1)).value();
+  mom::InMemoryStore store0;
+  mom::InMemoryStore store1;
+
+  mom::AgentServerOptions options;
+  options.trace = &trace;
+  options.retransmit_timeout_ns = 100 * sim::kMillisecond;
+  options.ack_coalesce_ns = window_ns;
+  options.flow = flow;
+  mom::AgentServer sender(deployment, ServerId(0), endpoint0.get(), &runtime,
+                          &store0, options);
+  mom::AgentServer receiver(deployment, ServerId(1), endpoint1.get(),
+                            &runtime, &store1, options);
+  auto sink = std::make_unique<workload::SinkAgent>();
+  const workload::SinkAgent* sink_view = sink.get();
+  receiver.AttachAgent(1, std::move(sink));
+  EXPECT_TRUE(sender.Boot().ok());
+  EXPECT_TRUE(receiver.Boot().ok());
+
+  for (int i = 0; i < messages; ++i) {
+    EXPECT_TRUE(sender
+                    .SendMessage(AgentId{ServerId(0), 7},
+                                 AgentId{ServerId(1), 1}, "burst")
+                    .ok());
+  }
+  simulator.RunToCompletion();
+
+  CoalesceRun run;
+  run.sender = sender.stats();
+  run.receiver = receiver.stats();
+  run.delivered = sink_view->received();
+  causality::CausalityChecker checker({ServerId(0), ServerId(1)});
+  const auto snapshot = trace.Snapshot();
+  run.causal = checker.CheckCausalDelivery(snapshot).causal();
+  run.exactly_once = checker.CheckExactlyOnce(snapshot).ok();
+  EXPECT_EQ(sender.queue_out_size(), 0u);
+  sender.Shutdown();
+  receiver.Shutdown();
+  return run;
+}
+
+TEST(AckCoalescing, WindowCollapsesAcksIntoTimerFlushes) {
+  // Default credits: after the cold-start grant nobody waits on credit,
+  // so the staged acks of consecutive Channel batches ride one timer
+  // flush per window instead of leaving after every batch.
+  constexpr int kMessages = 200;
+  const CoalesceRun eager = RunAckCoalescing(0, FlowOptions{}, kMessages);
+  const CoalesceRun coalesced =
+      RunAckCoalescing(5 * sim::kMillisecond, FlowOptions{}, kMessages);
+
+  EXPECT_EQ(eager.receiver.ack_flush_timer, 0u);
+  EXPECT_GT(coalesced.receiver.ack_flush_timer, 0u);
+  EXPECT_LT(coalesced.receiver.ack_frames_sent,
+            eager.receiver.ack_frames_sent);
+  // Every message is still acknowledged exactly once.
+  EXPECT_EQ(coalesced.receiver.acks_sent, eager.receiver.acks_sent);
+  EXPECT_EQ(coalesced.sender.retransmissions, 0u);
+  for (const CoalesceRun* run : {&eager, &coalesced}) {
+    EXPECT_EQ(run->delivered, static_cast<std::uint64_t>(kMessages));
+    EXPECT_TRUE(run->causal);
+    EXPECT_TRUE(run->exactly_once);
+  }
+}
+
+TEST(AckCoalescing, GrantForAPausedSenderFlushesAtOnce) {
+  // Tiny credits: the burst outruns the window, so the sender pauses
+  // again and again.  Each time, the ack whose credit trailer reopens
+  // the window leaves immediately instead of waiting out the 5 ms
+  // coalescing timer.
+  constexpr int kMessages = 40;
+  const CoalesceRun run =
+      RunAckCoalescing(5 * sim::kMillisecond, TinyWatermarks(), kMessages);
+
+  EXPECT_GT(run.sender.credit_blocked, 0u);
+  // The first unblock flush is the cold-start grant (nothing had been
+  // advertised yet); the later ones each released a paused sender.
+  EXPECT_GT(run.receiver.ack_flush_unblock, 1u);
+  EXPECT_EQ(run.delivered, static_cast<std::uint64_t>(kMessages));
+  EXPECT_TRUE(run.causal);
+  EXPECT_TRUE(run.exactly_once);
 }
 
 }  // namespace

@@ -115,7 +115,8 @@ TEST_P(DecodeFuzz, ConfigParserNeverCrashes) {
   const char* fragments[] = {"servers", "domain", "=", "0", "1", "99999",
                              "stamp_mode", "updates", "full", "#",
                              "allow_cyclic", "true", "\n", "x", "-1",
-                             "causal_core", "matrix", "hybrid", "reduced"};
+                             "causal_core", "matrix", "hybrid", "reduced",
+                             "65536", "18446744073709551615"};
   for (int round = 0; round < 200; ++round) {
     std::string text;
     const std::size_t pieces = rng.NextBelow(30);
@@ -238,6 +239,22 @@ TEST(GarbageFrames, LiveServerSurvivesJunkFromTheNetwork) {
   EXPECT_FALSE(Acked(outcome, 2));
   EXPECT_FALSE(Acked(outcome, 3));
   SetLogLevel(saved_level);
+}
+
+TEST(GarbageFrames, RetiredCoreTagIsFencedAndLeftUnacked) {
+  // Tag 2 belonged to the retired reduced core.  A frame carrying it --
+  // here with a stamp the matrix core would otherwise deliver -- is
+  // fenced like any foreign core's frame: counted, never delivered and
+  // never acknowledged.
+  mom::DataFrame retired =
+      FrameFromS0(1, {{Entry(0, 1, 1)}}, clocks::CausalCoreKind::kMatrix);
+  retired.core_tag = 2;
+  const JunkOutcome outcome = SendJunkToLiveServer(
+      domains::topologies::Flat(2), {retired.Serialize()});
+  EXPECT_EQ(outcome.stats.core_fenced_frames, 1u);
+  EXPECT_EQ(outcome.stats.malformed_frames, 0u);
+  EXPECT_FALSE(Acked(outcome, 1));
+  EXPECT_EQ(outcome.delivered, 5u);  // the local sends only
 }
 
 TEST(GarbageFrames, HybridCoreDropsMalformedStampsAndKeepsGossipRows) {
