@@ -245,6 +245,14 @@ Result<TrafficProfile> ParseTrafficProfile(std::string_view text) {
     if (!from.ok()) return from.status();
     auto to = ParseU16(tokens[1]);
     if (!to.ok()) return to.status();
+    if (from.value() >= kMaxTrafficProfileServers ||
+        to.value() >= kMaxTrafficProfileServers) {
+      return Status::InvalidArgument(
+          "line " + std::to_string(line_number) + ": server id " +
+          std::to_string(std::max(from.value(), to.value())) +
+          " is at or above the traffic-profile bound of " +
+          std::to_string(kMaxTrafficProfileServers));
+    }
     auto weight = ParseDouble(tokens[2]);
     if (!weight.ok()) return weight.status();
     if (weight.value() < 0) {

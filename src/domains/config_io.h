@@ -20,6 +20,7 @@
 //     1 0 80
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -32,6 +33,15 @@ namespace cmom::domains {
 [[nodiscard]] Result<MomConfig> ParseMomConfig(std::string_view text);
 [[nodiscard]] std::string FormatMomConfig(const MomConfig& config);
 
+// Traffic-profile server ids must be below this bound.  The profile is
+// a dense (max id + 1)^2 matrix of doubles, so the bound caps it at
+// 1024 x 1024 x 8 B = 8 MiB -- and the splitter's all-pairs edge list,
+// also O(n^2), at about 0.5M edges.  Without it a one-line profile
+// naming id 65535 asks for 32 GiB.
+inline constexpr std::size_t kMaxTrafficProfileServers = 1024;
+
+// Refuses an id at or above kMaxTrafficProfileServers (InvalidArgument
+// naming the line) before allocating anything sized by the ids.
 [[nodiscard]] Result<TrafficProfile> ParseTrafficProfile(
     std::string_view text);
 [[nodiscard]] std::string FormatTrafficProfile(const TrafficProfile& traffic);

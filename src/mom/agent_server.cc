@@ -24,50 +24,6 @@ constexpr std::string_view kRetiredBlobKeys[] = {
 constexpr std::size_t kChannelBatch = 16;
 }  // namespace
 
-// Buffers the sends an agent makes during React; they are committed
-// atomically with the reaction by the Engine.
-class ReactionContextImpl final : public ReactionContext {
- public:
-  ReactionContextImpl(AgentServer* server, net::Runtime* runtime, AgentId self,
-                      std::vector<Message>* sends,
-                      std::function<Message(AgentId, AgentId, std::string,
-                                            Bytes)>
-                          make_message,
-                      std::function<void(std::string, const Message&)>
-                          dead_letter)
-      : server_(server),
-        runtime_(runtime),
-        self_(self),
-        sends_(sends),
-        make_message_(std::move(make_message)),
-        dead_letter_(std::move(dead_letter)) {
-    (void)server_;
-  }
-
-  [[nodiscard]] AgentId self() const override { return self_; }
-
-  void Send(AgentId to, std::string subject, Bytes payload) override {
-    sends_->push_back(
-        make_message_(self_, to, std::move(subject), std::move(payload)));
-  }
-
-  [[nodiscard]] std::uint64_t NowNs() const override {
-    return runtime_->NowNs();
-  }
-
-  void DeadLetter(std::string reason, const Message& original) override {
-    dead_letter_(std::move(reason), original);
-  }
-
- private:
-  AgentServer* server_;
-  net::Runtime* runtime_;
-  AgentId self_;
-  std::vector<Message>* sends_;
-  std::function<Message(AgentId, AgentId, std::string, Bytes)> make_message_;
-  std::function<void(std::string, const Message&)> dead_letter_;
-};
-
 AgentServer::AgentServer(const domains::Deployment& deployment, ServerId self,
                          net::Endpoint* endpoint, net::Runtime* runtime,
                          Store* store, AgentServerOptions options)
@@ -155,21 +111,12 @@ Status AgentServer::Boot() {
       items_.push_back(std::move(item));
     }
 
-    CMOM_RETURN_IF_ERROR(RecoverLocked());
-
-    // Seed the dead-letter sequence past every record already on disk
-    // (dlq/ records are append-only and survive across boots).
-    for (const std::string& key : store_->Keys(flow::kDeadLetterKeyPrefix)) {
-      std::uint64_t seq = 0;
-      if (flow::ParseDeadLetterKey(key, seq)) {
-        next_dlq_seq_ = std::max(next_dlq_seq_, seq + 1);
-      }
-    }
-
     // A store the control plane has stamped must agree with the epoch
     // we were constructed for: booting epoch-E clocks under an epoch-F
-    // deployment would reinterpret matrix coordinates.  Stores from
-    // before the control plane (no record) pass vacuously.
+    // deployment would reinterpret matrix coordinates.  Checked before
+    // recovery commits anything (even the incarnation bump), so a
+    // refused store stays exactly as it was found.  Stores from before
+    // the control plane (no record) pass vacuously.
     if (auto record = store_->Get(kEpochCurrentKey)) {
       ByteReader in(*record);
       auto stored = in.ReadVarU64();
@@ -178,6 +125,17 @@ Status AgentServer::Boot() {
         return Status::FailedPrecondition(
             "store is at epoch " + std::to_string(stored.value()) +
             " but server boots at epoch " + std::to_string(options_.epoch));
+      }
+    }
+
+    CMOM_RETURN_IF_ERROR(RecoverLocked());
+
+    // Seed the dead-letter sequence past every record already on disk
+    // (dlq/ records are append-only and survive across boots).
+    for (const std::string& key : store_->Keys(flow::kDeadLetterKeyPrefix)) {
+      std::uint64_t seq = 0;
+      if (flow::ParseDeadLetterKey(key, seq)) {
+        next_dlq_seq_ = std::max(next_dlq_seq_, seq + 1);
       }
     }
 
@@ -271,12 +229,7 @@ void AgentServer::PumpLocked() {
         std::vector<std::pair<ServerId, Bytes>> frames;
         {
           std::lock_guard relock(mutex_);
-          frames.swap(pending_frames_);
-          if (engine_step_needed_ && !engine_step_queued_) {
-            engine_step_queued_ = true;
-            work_queue_.push_back([this] { return EngineStep(); });
-          }
-          engine_step_needed_ = false;
+          frames = TakeWorkOutputsLocked();
         }
         FlushFrames(std::move(frames));
         std::unique_lock relock(mutex_);
@@ -287,13 +240,7 @@ void AgentServer::PumpLocked() {
     }
 
     // Inline mode (or zero-cost work): flush outputs now.
-    std::vector<std::pair<ServerId, Bytes>> frames;
-    frames.swap(pending_frames_);
-    if (engine_step_needed_ && !engine_step_queued_) {
-      engine_step_queued_ = true;
-      work_queue_.push_back([this] { return EngineStep(); });
-    }
-    engine_step_needed_ = false;
+    std::vector<std::pair<ServerId, Bytes>> frames = TakeWorkOutputsLocked();
     if (!frames.empty()) {
       mutex_.unlock();
       FlushFrames(std::move(frames));
@@ -301,6 +248,17 @@ void AgentServer::PumpLocked() {
     }
   }
   work_running_ = false;
+}
+
+std::vector<std::pair<ServerId, Bytes>> AgentServer::TakeWorkOutputsLocked() {
+  std::vector<std::pair<ServerId, Bytes>> frames;
+  frames.swap(pending_frames_);
+  if (engine_step_needed_ && !engine_step_queued_) {
+    engine_step_queued_ = true;
+    work_queue_.push_back([this] { return EngineStep(); });
+  }
+  engine_step_needed_ = false;
+  return frames;
 }
 
 // Hands staged frames to the transport.  A refusal (supervised outbox
@@ -573,7 +531,9 @@ std::size_t AgentServer::CommitDelivery(DomainItem& item,
     StageForward(item.id, std::move(frame.message));
     return 0;
   }
-  return StampAndEnqueue(std::move(frame.message));
+  std::vector<Message> forward;
+  forward.push_back(std::move(frame.message));
+  return StampAndEnqueueBatch(std::move(forward));
 }
 
 std::size_t AgentServer::ProcessAck(ServerId from, const AckFrame& ack) {
@@ -791,7 +751,9 @@ std::size_t AgentServer::ApplySends(std::vector<Message> sends) {
   // whose reaction triggered this send).  Stamp every staged forward
   // first so the outgoing stamp order stays causal; only pure
   // router-to-router traffic keeps the deferred fair schedule.
-  if (!sends.empty()) entries += FlushForwardStageLocked();
+  if (!sends.empty()) {
+    entries += StampStagedForwardsLocked(forward_stage_.size());
+  }
   // Remote sends are collected and stamped in runs sharing a next hop
   // (one MatrixClock pass per run, see StampAndEnqueueBatch).  Local
   // deliveries go straight through: they never touch the clock, all of
@@ -813,29 +775,6 @@ std::size_t AgentServer::ApplySends(std::vector<Message> sends) {
   if (!remote.empty()) entries += StampAndEnqueueBatch(std::move(remote));
   (void)CommitLocked();
   return entries;
-}
-
-std::size_t AgentServer::StampAndEnqueue(Message message) {
-  const ServerId dest = message.dest_server();
-  const ServerId hop = deployment_->routing().NextHop(self_, dest);
-  auto link_index = deployment_->LinkDomainIndex(self_, hop);
-  if (!link_index.ok()) {
-    CMOM_LOG(kError) << "unroutable message " << message.id << ": "
-                     << link_index.status();
-    return 0;
-  }
-  DomainItem* item = FindItemByIndex(link_index.value());
-  assert(item != nullptr && "link domain not among this server's items");
-  auto hop_local =
-      deployment_->domain(link_index.value()).LocalId(hop);
-  assert(hop_local.has_value());
-
-  OutEntry entry;
-  entry.message = std::move(message);
-  entry.next_hop = hop;
-  entry.domain = item->id;
-  entry.stamp = item->core->PrepareSend(*hop_local);
-  return EnqueueStampedLocked(std::move(entry));
 }
 
 std::size_t AgentServer::StampAndEnqueueBatch(std::vector<Message> messages) {
@@ -946,12 +885,6 @@ void AgentServer::ScheduleRetransmit(MessageId id,
       auto it = queue_out_index_.find(id);
       if (it == queue_out_index_.end()) return 0;  // acknowledged meanwhile
       OutEntry& entry = *it->second;
-      if (options_.max_retransmit_attempts != 0 &&
-          entry.attempts >= options_.max_retransmit_attempts) {
-        CMOM_LOG(kError) << "giving up on " << id << " after "
-                         << entry.attempts << " retransmissions";
-        return 0;
-      }
       ++entry.attempts;
       ++stats_.retransmissions;
       EmitOutEntry(entry);
@@ -987,13 +920,15 @@ flow::CreditReceiverLink& AgentServer::ReceiverLink(ServerId peer) {
   return it->second;
 }
 
-std::size_t AgentServer::ReleaseBlocked(ServerId peer, bool force) {
+std::size_t AgentServer::ReleaseBlocked(ServerId peer, bool force,
+                                        std::size_t limit) {
   auto it = sender_links_.find(peer);
   if (it == sender_links_.end()) return 0;
   flow::CreditSenderLink& link = it->second;
   std::size_t released = 0;
   MessageId id;
-  while (force ? link.ForceRelease(id) : link.NextReleasable(id)) {
+  while (released < limit &&
+         (force ? link.ForceRelease(id) : link.NextReleasable(id))) {
     auto qit = queue_out_index_.find(id);
     if (qit == queue_out_index_.end()) continue;  // retired before emission
     link.Admit();
@@ -1019,15 +954,8 @@ void AgentServer::ScheduleCreditProbe(ServerId peer) {
       auto it = sender_links_.find(peer);
       if (it == sender_links_.end() || !it->second.paused()) return 0;
       ++stats_.credit_probes;
-      MessageId id;
-      while (it->second.ForceRelease(id)) {
-        auto qit = queue_out_index_.find(id);
-        if (qit == queue_out_index_.end()) continue;
-        it->second.Admit();
-        EmitOutEntry(*qit->second);
-        ScheduleRetransmit(id, qit->second->attempts);
-        break;  // one frame per probe: solicit, don't flood
-      }
+      // One frame per probe: solicit, don't flood.
+      ReleaseBlocked(peer, /*force=*/true, /*limit=*/1);
       if (it->second.paused()) ScheduleCreditProbe(peer);
       return 0;
     });
@@ -1087,16 +1015,7 @@ void AgentServer::StageForward(DomainId source, Message message) {
 std::size_t AgentServer::ForwardStep() {
   forward_step_queued_ = false;
   if (forward_stage_.empty()) return 0;
-  std::size_t entries = 0;
-  forward_stage_.Drain(
-      kChannelBatch,
-      [&](DomainId source, ForwardEntry&& staged) {
-        (void)source;
-        StoreDelete(FwdKey(staged.seq));
-        entries += StampAndEnqueue(std::move(staged.message));
-        ++stats_.drr_forwarded;
-      },
-      &stats_.drr_rounds);
+  const std::size_t entries = StampStagedForwardsLocked(kChannelBatch);
   (void)CommitLocked();
   if (!forward_stage_.empty() && !forward_step_queued_) {
     forward_step_queued_ = true;
@@ -1107,19 +1026,18 @@ std::size_t AgentServer::ForwardStep() {
   return entries;
 }
 
-std::size_t AgentServer::FlushForwardStageLocked() {
-  if (forward_stage_.empty()) return 0;
-  std::size_t entries = 0;
+std::size_t AgentServer::StampStagedForwardsLocked(std::size_t limit) {
+  std::vector<Message> drained;
   forward_stage_.Drain(
-      forward_stage_.size(),
+      limit,
       [&](DomainId source, ForwardEntry&& staged) {
         (void)source;
         StoreDelete(FwdKey(staged.seq));
-        entries += StampAndEnqueue(std::move(staged.message));
+        drained.push_back(std::move(staged.message));
         ++stats_.drr_forwarded;
       },
       &stats_.drr_rounds);
-  return entries;
+  return StampAndEnqueueBatch(std::move(drained));
 }
 
 void AgentServer::MaybeScheduleWaitDrainLocked() {
@@ -1157,75 +1075,125 @@ std::size_t AgentServer::DrainWaitQueue() {
   return entries;
 }
 
-void AgentServer::RecordDeadLetter(std::string reason,
-                                   const Message& original) {
-  flow::DeadLetterRecord record;
-  record.reason = std::move(reason);
-  record.id = original.id;
-  record.from = original.from;
-  record.to = original.to;
-  record.subject = original.subject;
-  record.payload = original.payload;
-  StorePut(flow::DeadLetterKey(next_dlq_seq_++), record.Serialize());
-  ++stats_.dead_letters;
-}
-
 // ---------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------
 
-// One Engine transaction: reacts to up to engine_batch QueueIN
-// messages, persists each touched agent image once, and commits the
-// whole batch -- QueueIN deletions, agent state and all the stamped
-// sends the reactions produced -- atomically.
+// Inline Engine transaction (engine_workers = 0): reacts to up to
+// engine_batch QueueIN messages in order and commits them as one group.
 std::size_t AgentServer::EngineStep() {
   engine_step_queued_ = false;
   if (queue_in_.empty()) return 0;
   const std::size_t limit = std::max<std::size_t>(1, options_.engine_batch);
-
-  std::vector<Message> sends;
-  std::vector<std::uint32_t> reacted;  // agents to persist, insert order
-  std::size_t batch = 0;
-  while (!queue_in_.empty() && batch < limit) {
-    InEntry entry = std::move(queue_in_.front());
+  std::vector<ReactionResult> group;
+  while (!queue_in_.empty() && group.size() < limit) {
+    group.push_back(ReactTo(std::move(queue_in_.front())));
     queue_in_.pop_front();
-    EraseInEntry(entry);
-    ++batch;
+  }
+  stats_.engine_batch_hist.Record(group.size());
+  const std::size_t entries = CommitReactionGroup(std::move(group));
+  if (!queue_in_.empty()) engine_step_needed_ = true;
+  return entries;
+}
 
-    auto agent_it = agents_.find(entry.message.to.local);
-    if (agent_it == agents_.end()) {
-      CMOM_LOG(kWarning) << to_string(self_) << ": no agent "
-                         << entry.message.to << " for message "
-                         << entry.message.id << "; dropped";
-      BufferPool::Release(std::move(entry.message.payload));
-      continue;
+// The reaction body of both dispatch modes: runs React for one QueueIN
+// entry and captures what it produced.  Touches no server state guarded
+// by mutex_: agents_ is structurally frozen after Boot and one thread at
+// a time runs (or encodes) a given agent -- the inline engine under
+// mutex_, or the agent's shard -- so React and EncodeState need no lock.
+// MessageId and dlq/ sequence assignment wait for CommitReactionGroup,
+// which keeps both single-writer sequences under mutex_.
+AgentServer::ReactionResult AgentServer::ReactTo(InEntry entry) {
+  struct Collector final : ReactionContext {
+    net::Runtime* runtime;
+    AgentId id;
+    ReactionResult* result;
+    [[nodiscard]] AgentId self() const override { return id; }
+    void Send(AgentId to, std::string subject, Bytes payload) override {
+      result->sends.push_back(
+          PendingSend{id, to, std::move(subject), std::move(payload)});
     }
-    ReactionContextImpl ctx(
-        this, runtime_, entry.message.to, &sends,
-        [this](AgentId from, AgentId to, std::string subject, Bytes payload) {
-          return MakeMessage(from, to, std::move(subject),
-                             std::move(payload));
-        },
-        [this](std::string reason, const Message& original) {
-          RecordDeadLetter(std::move(reason), original);
-        });
+    [[nodiscard]] std::uint64_t NowNs() const override {
+      return runtime->NowNs();
+    }
+    // Buffered like the sends: the record is speculative until the
+    // group commit persists it.
+    void DeadLetter(std::string reason, const Message& original) override {
+      flow::DeadLetterRecord record;
+      record.reason = std::move(reason);
+      record.id = original.id;
+      record.from = original.from;
+      record.to = original.to;
+      record.subject = original.subject;
+      record.payload = original.payload;
+      result->dead_letters.push_back(std::move(record));
+    }
+  };
+
+  ReactionResult result;
+  result.in_seq = entry.seq;
+  result.agent_local = entry.message.to.local;
+  auto agent_it = agents_.find(result.agent_local);
+  if (agent_it == agents_.end()) {
+    CMOM_LOG(kWarning) << to_string(self_) << ": no agent " << entry.message.to
+                       << " for message " << entry.message.id << "; dropped";
+  } else {
+    Collector ctx;
+    ctx.runtime = runtime_;
+    ctx.id = entry.message.to;
+    ctx.result = &result;
     agent_it->second->React(ctx, entry.message);
-    // The consumed payload funds the batch's own stamp/frame encodes.
-    BufferPool::Release(std::move(entry.message.payload));
-    if (std::find(reacted.begin(), reacted.end(), entry.message.to.local) ==
-        reacted.end()) {
-      reacted.push_back(entry.message.to.local);
+    // The image buffer comes from this thread's freelist -- in steady
+    // state the payload released below funds the next image acquire,
+    // making the reaction loop allocation-free.
+    ByteWriter image = PooledWriter(256);
+    agent_it->second->EncodeState(image);
+    result.agent_image = std::move(image).Take();
+    result.has_image = true;
+  }
+  // The consumed message is dead after React; recycle its payload.
+  BufferPool::Release(std::move(entry.message.payload));
+  return result;
+}
+
+// The commit of both dispatch modes.  Stages the group in result order
+// -- qin/ erases and dlq/ records, then one image per touched agent
+// (its last, in first-touch order: the group is one transaction), then
+// MessageIds for the buffered sends -- and hands the sends to
+// ApplySends, which routes and stamps them and commits everything as
+// ONE store transaction.
+std::size_t AgentServer::CommitReactionGroup(
+    std::vector<ReactionResult> group) {
+  // (agent, index of its last result with an image), first-touch order.
+  std::vector<std::pair<std::uint32_t, std::size_t>> images;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    ReactionResult& result = group[i];
+    StoreDelete(InKey(result.in_seq));
+    for (flow::DeadLetterRecord& record : result.dead_letters) {
+      StorePut(flow::DeadLetterKey(next_dlq_seq_++), record.Serialize());
+      ++stats_.dead_letters;
+    }
+    if (!result.has_image) continue;
+    auto it = std::find_if(images.begin(), images.end(), [&](const auto& e) {
+      return e.first == result.agent_local;
+    });
+    if (it == images.end()) {
+      images.emplace_back(result.agent_local, i);
+    } else {
+      it->second = i;
     }
   }
-  // An agent that reacted several times in this batch is persisted
-  // once, with its final state -- the batch is one transaction.
-  for (std::uint32_t local_id : reacted) PersistAgent(local_id);
-  stats_.engine_batch_hist.Record(batch);
-
-  // ApplySends commits the whole batch: QueueIN deletions, new
-  // QueueOUT state, clocks and the agent images staged above.
+  for (const auto& [agent_local, i] : images) {
+    StorePut(AgentKey(agent_local), std::move(group[i].agent_image));
+  }
+  std::vector<Message> sends;
+  for (ReactionResult& result : group) {
+    for (PendingSend& send : result.sends) {
+      sends.push_back(MakeMessage(send.from, send.to, std::move(send.subject),
+                                  std::move(send.payload)));
+    }
+  }
   const std::size_t entries = ApplySends(std::move(sends));
-  if (!queue_in_.empty()) engine_step_needed_ = true;
   // Reactions drained backlog: maybe re-open the intake valves.
   MaybeReplenishCredits();
   MaybeScheduleWaitDrainLocked();
@@ -1271,65 +1239,11 @@ void AgentServer::DispatchReaction(InEntry entry) {
   });
 }
 
-// Shard worker body.  Touches no server state guarded by mutex_:
-// agents_ is structurally frozen after Boot and this shard is the only
-// thread running (or encoding) its agents, so React and EncodeState
-// need no lock.  MessageId assignment is deferred to the commit stage
-// to keep id order a single-writer sequence.
+// Shard worker: runs the shared reaction body without server locks and
+// queues its result for the commit stage.
 void AgentServer::RunReaction(std::size_t shard, InEntry entry) {
-  struct Collector final : ReactionContext {
-    net::Runtime* runtime;
-    AgentId id;
-    std::vector<PendingSend>* out;
-    std::vector<flow::DeadLetterRecord>* dead;
-    [[nodiscard]] AgentId self() const override { return id; }
-    void Send(AgentId to, std::string subject, Bytes payload) override {
-      out->push_back(
-          PendingSend{id, to, std::move(subject), std::move(payload)});
-    }
-    [[nodiscard]] std::uint64_t NowNs() const override {
-      return runtime->NowNs();
-    }
-    // Buffered like the sends: the record is speculative until the
-    // group commit persists it (dlq/ sequence assignment happens there,
-    // under mutex_).
-    void DeadLetter(std::string reason, const Message& original) override {
-      flow::DeadLetterRecord record;
-      record.reason = std::move(reason);
-      record.id = original.id;
-      record.from = original.from;
-      record.to = original.to;
-      record.subject = original.subject;
-      record.payload = original.payload;
-      dead->push_back(std::move(record));
-    }
-  };
-
   const std::uint64_t start = runtime_->NowNs();
-  ReactionResult result;
-  result.in_seq = entry.seq;
-  result.agent_local = entry.message.to.local;
-  auto agent_it = agents_.find(result.agent_local);
-  if (agent_it == agents_.end()) {
-    CMOM_LOG(kWarning) << to_string(self_) << ": no agent " << entry.message.to
-                       << " for message " << entry.message.id << "; dropped";
-  } else {
-    Collector ctx;
-    ctx.runtime = runtime_;
-    ctx.id = entry.message.to;
-    ctx.out = &result.sends;
-    ctx.dead = &result.dead_letters;
-    agent_it->second->React(ctx, entry.message);
-    // The image buffer comes from this worker's freelist -- in steady
-    // state the payload released below funds the next image acquire,
-    // making the reaction loop allocation-free.
-    ByteWriter image = PooledWriter(256);
-    agent_it->second->EncodeState(image);
-    result.agent_image = std::move(image).Take();
-    result.has_image = true;
-  }
-  // The consumed message is dead after React; recycle its payload.
-  BufferPool::Release(std::move(entry.message.payload));
+  ReactionResult result = ReactTo(std::move(entry));
   const std::uint64_t busy = runtime_->NowNs() - start;
   {
     std::lock_guard results(results_mutex_);
@@ -1390,50 +1304,23 @@ std::size_t AgentServer::AdaptiveCommitTargetLocked() const {
 }
 
 // Commit stage (a regular work item, so it serializes with the Channel
-// and owns mutex_).  Drains every completed reaction and commits the
-// group in one store transaction: qin/ erases, one image per touched
-// agent (last write wins), and the stamped sends -- which ApplySends
-// also routes, including re-dispatching local deliveries to shards.
+// and owns mutex_).  Drains every completed reaction and commits them
+// as one group; ApplySends re-dispatches local deliveries to shards.
 // The flag is cleared BEFORE the drain: a worker that queues a result
 // after our swap finds commit_stage_queued_ false once it gets mutex_
 // and schedules the next commit, so no result is ever stranded.
 std::size_t AgentServer::CommitReactions() {
   commit_stage_queued_ = false;
-  std::vector<ReactionResult> batch;
+  std::vector<ReactionResult> group;
   {
     std::lock_guard results(results_mutex_);
-    batch.swap(completed_reactions_);
+    group.swap(completed_reactions_);
   }
-  if (batch.empty()) return 0;
-
-  std::vector<Message> sends;
-  std::unordered_map<std::uint32_t, std::size_t> last_image;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].has_image) last_image[batch[i].agent_local] = i;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ReactionResult& result = batch[i];
-    StoreDelete(InKey(result.in_seq));
-    for (PendingSend& send : result.sends) {
-      sends.push_back(MakeMessage(send.from, send.to, std::move(send.subject),
-                                  std::move(send.payload)));
-    }
-    for (flow::DeadLetterRecord& record : result.dead_letters) {
-      StorePut(flow::DeadLetterKey(next_dlq_seq_++), record.Serialize());
-      ++stats_.dead_letters;
-    }
-    auto it = last_image.find(result.agent_local);
-    if (it != last_image.end() && it->second == i) {
-      StorePut(AgentKey(result.agent_local), std::move(result.agent_image));
-    }
-  }
-  stats_.group_commit_hist.Record(batch.size());
-  assert(engine_inflight_ >= batch.size());
-  engine_inflight_ -= batch.size();
-  const std::size_t entries = ApplySends(std::move(sends));
-  MaybeReplenishCredits();
-  MaybeScheduleWaitDrainLocked();
-  return entries;
+  if (group.empty()) return 0;
+  stats_.group_commit_hist.Record(group.size());
+  assert(engine_inflight_ >= group.size());
+  engine_inflight_ -= group.size();
+  return CommitReactionGroup(std::move(group));
 }
 
 // ---------------------------------------------------------------------
@@ -1477,14 +1364,6 @@ void AgentServer::PersistClocks(bool force) {
   }
 }
 
-void AgentServer::PersistAgent(std::uint32_t local_id) {
-  auto it = agents_.find(local_id);
-  if (it == agents_.end()) return;
-  ByteWriter out;
-  it->second->EncodeState(out);
-  StorePut(AgentKey(local_id), std::move(out).Take());
-}
-
 void AgentServer::PersistOutEntry(const OutEntry& entry) {
   ByteWriter out;
   out.WriteVarU64(entry.enqueue_seq);
@@ -1503,10 +1382,6 @@ void AgentServer::PersistInEntry(const InEntry& entry) {
   ByteWriter out;
   entry.message.Encode(out);
   StorePut(InKey(entry.seq), std::move(out).Take());
-}
-
-void AgentServer::EraseInEntry(const InEntry& entry) {
-  StoreDelete(InKey(entry.seq));
 }
 
 void AgentServer::PersistHeldFrame(const DomainItem& item,

@@ -49,33 +49,30 @@
 // the single-threaded Java server of the paper.  Without a CostModel,
 // work runs inline at wall-clock speed.
 //
-// Parallel engine (engine_workers > 0, wall-clock runtimes only): the
-// single work loop becomes a three-stage pipeline.
+// Engine: one reaction pipeline, two dispatch modes.  Every reaction
+// runs the same body (ReactTo): Agent::React against a context that
+// buffers the sends and dead letters, then the agent's encoded image,
+// all captured in a ReactionResult.  Every group of results commits
+// through the same CommitReactionGroup: qin/ deletions, dlq/ records,
+// one image per touched agent and the stamped QueueOUT entries in ONE
+// store transaction, and only then are the produced frames released.
+// A reaction is speculative until its group commits, and its input
+// stays durable in qin/ until then.  The modes differ only in where the
+// body runs and how a group is formed:
 //
-//   Channel stage   unchanged lock + batching; after the clock check a
-//                   deliverable message is persisted under its qin/ key
-//                   and DISPATCHED to an engine shard instead of
-//                   queueing an inline EngineStep.
-//   Engine stage    a pool of shard workers (an Executor lane per
-//                   worker).  The destination agent id hashes to a
-//                   lane, so one agent's reactions run serially in
-//                   QueueIN (= causal delivery) order while different
-//                   agents react concurrently.  A worker runs React
-//                   without any server lock and emits a ReactionResult:
-//                   the agent image it encoded, the sends the reaction
-//                   buffered, and the consumed qin/ sequence.
-//   Commit stage    an ordinary work item that drains every completed
-//                   ReactionResult and commits the whole group in ONE
-//                   store transaction -- qin/ deletions, one image per
-//                   touched agent, stamped QueueOUT entries -- and only
-//                   then releases the produced frames.  Atomic-reaction
-//                   and exactly-once guarantees are untouched: a
-//                   reaction is speculative until its group commits,
-//                   and its input stays durable in qin/ until then.
-//
-// engine_workers = 0 (the default) keeps the historical inline engine;
-// simulated runs always use it (SimRuntime::MakeExecutor returns
-// nullptr), so CostModel traces stay bit-identical.
+//   inline (engine_workers = 0, the default)
+//       one EngineStep work item runs the body under the server lock
+//       for up to engine_batch QueueIN entries and commits them as one
+//       group.  Simulated runs always use it (SimRuntime::MakeExecutor
+//       returns nullptr), so CostModel traces stay bit-identical.
+//   sharded (engine_workers > 0, wall-clock runtimes only)
+//       after the clock check a deliverable message is persisted under
+//       its qin/ key and DISPATCHED to a shard worker (an Executor lane
+//       per worker).  The destination agent id hashes to a lane, so
+//       one agent's reactions run serially in QueueIN (= causal
+//       delivery) order while different agents react concurrently,
+//       without any server lock.  A commit-stage work item drains every
+//       completed result and commits them as one group.
 #pragma once
 
 #include <algorithm>
@@ -85,6 +82,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -121,14 +119,12 @@ struct AgentServerOptions {
   causality::TraceRecorder* trace = nullptr;
   // Delay before an unacknowledged QueueOUT entry is resent.
   std::uint64_t retransmit_timeout_ns = 500ull * 1000 * 1000;
-  // Safety valve for runaway retransmission (0 = unlimited).
-  std::uint32_t max_retransmit_attempts = 0;
   // Max QueueIN messages reacted to per Engine work item (one commit).
   std::size_t engine_batch = 16;
-  // Engine shard workers (see header comment).  0 = historical inline
-  // engine.  >0 requires a runtime whose MakeExecutor returns real
-  // threads (ThreadRuntime); otherwise the server falls back to inline
-  // mode at Boot.
+  // Engine shard workers (see header comment).  0 = inline dispatch.
+  // >0 requires a runtime whose MakeExecutor returns real threads
+  // (ThreadRuntime); otherwise the server falls back to inline mode at
+  // Boot.
   std::size_t engine_workers = 0;
   // Config epoch this server runs under (src/control reconfiguration).
   // Stamped into every outgoing DataFrame; frames from a different
@@ -415,6 +411,9 @@ class AgentServer {
   // --- work serialization -------------------------------------------
   void Post(Work work);
   void PumpLocked();
+  // End of one work item: takes the frames it staged and turns
+  // engine_step_needed_ into a queued EngineStep.
+  std::vector<std::pair<ServerId, Bytes>> TakeWorkOutputsLocked();
 
   // --- channel -------------------------------------------------------
   void HandleFrame(ServerId from, Bytes frame);
@@ -429,16 +428,14 @@ class AgentServer {
   // Re-examines the hold-back queue after a clock change; returns the
   // clock entries touched by the deliveries it unblocked.
   std::size_t DrainHoldback(DomainItem& item);
-  // Stamps `message` toward its destination and appends to QueueOUT;
-  // returns entries touched.  Emits the data frame.
-  std::size_t StampAndEnqueue(Message message);
-  // Batch variant for the engine commit path: stamps a run of messages
-  // sharing the next hop with one MatrixClock pass (PrepareSendBatch)
-  // instead of one lock round-trip per message.  Produces stamps
-  // byte-identical to sequential StampAndEnqueue calls.
+  // The one stamping path (sends, forwards): stamps each message toward
+  // its next hop and appends it to QueueOUT, in order.  A run of
+  // messages sharing the next hop is stamped with one core pass
+  // (PrepareSendBatch, byte-identical to one PrepareSend per message).
+  // Emits the data frames; returns clock entries touched.
   std::size_t StampAndEnqueueBatch(std::vector<Message> messages);
-  // Shared tail of both paths: persists, enqueues and emits one
-  // already-stamped OutEntry.  Returns clock entries touched.
+  // Persists, enqueues and emits one already-stamped OutEntry.  Returns
+  // clock entries touched.
   std::size_t EnqueueStampedLocked(OutEntry entry);
   // Emits (or re-emits) one QueueOUT entry as a data frame of the
   // current epoch, serialized straight from the entry.
@@ -461,10 +458,13 @@ class AgentServer {
   // Per-peer credit bookkeeping, created on first use.
   [[nodiscard]] flow::CreditSenderLink& SenderLink(ServerId peer);
   [[nodiscard]] flow::CreditReceiverLink& ReceiverLink(ServerId peer);
-  // Emits blocked frames toward `peer` while the window has headroom
-  // (or unconditionally when `force`: fence bypass).  Caller holds
-  // mutex_ inside a work item.  Returns frames released.
-  std::size_t ReleaseBlocked(ServerId peer, bool force);
+  // Emits up to `limit` blocked frames toward `peer` while the window
+  // has headroom (or unconditionally when `force`: fence bypass, credit
+  // probe).  Caller holds mutex_ inside a work item.  Returns frames
+  // released.
+  std::size_t ReleaseBlocked(
+      ServerId peer, bool force,
+      std::size_t limit = std::numeric_limits<std::size_t>::max());
   // Arms the per-peer liveness probe: if the link toward `peer` is
   // still paused when it fires, one blocked frame is force-emitted so
   // the peer's ack (with a fresh cumulative grant) can reopen a window
@@ -482,28 +482,22 @@ class AgentServer {
   // DRR staging queue, persisted under its fwd/ key in the SAME
   // transaction as the delivery that produced it.
   void StageForward(DomainId source, Message message);
-  // Work item draining the DRR staging queue: stamps each released
-  // message toward its next hop and deletes its fwd/ key, one commit
-  // per batch.
+  // Work item draining the DRR staging queue, kChannelBatch forwards
+  // per commit.
   std::size_t ForwardStep();
-  // Stamps EVERY staged forward immediately (no batching): the causal
-  // barrier local-origin sends need before they may be stamped.
-  std::size_t FlushForwardStageLocked();
+  // Pops up to `limit` staged forwards in DRR order, deletes their fwd/
+  // keys and stamps them toward their next hops.  With the whole stage
+  // as the limit it is the causal barrier local-origin sends need
+  // before they may be stamped.  Returns clock entries touched.
+  std::size_t StampStagedForwardsLocked(std::size_t limit);
   // Engine admission: queues a wait-queue drain work item when backlog
   // has fallen below the low threshold.  Caller holds mutex_.
   void MaybeScheduleWaitDrainLocked();
   std::size_t DrainWaitQueue();
-  // Persists one dead-letter record (staged into the current
-  // transaction).  Caller holds mutex_ inside a work item.
-  void RecordDeadLetter(std::string reason, const Message& original);
 
   // --- engine ----------------------------------------------------------
-  std::size_t EngineStep();
-  std::size_t ApplySends(std::vector<Message> sends);
-
-  // --- parallel engine -------------------------------------------------
-  // A send buffered by a shard worker; MessageId assignment (and hence
-  // stamping) is deferred to the commit stage so id order stays a
+  // A send buffered by a reaction; MessageId assignment (and hence
+  // stamping) is deferred to the group commit so id order stays a
   // single-writer sequence under mutex_.
   struct PendingSend {
     AgentId from;
@@ -511,7 +505,7 @@ class AgentServer {
     std::string subject;
     Bytes payload;
   };
-  // Everything a shard worker produced for one consumed QueueIN entry.
+  // Everything one reaction produced for its consumed QueueIN entry.
   struct ReactionResult {
     std::uint64_t in_seq = 0;       // qin/ key to erase at commit
     std::uint32_t agent_local = 0;  // agent that reacted
@@ -522,6 +516,18 @@ class AgentServer {
     // persisted as dlq/ records in the same group commit.
     std::vector<flow::DeadLetterRecord> dead_letters;
   };
+  // Inline dispatch: one work item reacting to up to engine_batch
+  // QueueIN entries, committed as one group.
+  std::size_t EngineStep();
+  // The reaction body of both dispatch modes; takes no server lock.
+  [[nodiscard]] ReactionResult ReactTo(InEntry entry);
+  // The commit of both dispatch modes: persists a group of reactions and
+  // their sends in one transaction.  Caller holds mutex_ inside a work
+  // item.
+  std::size_t CommitReactionGroup(std::vector<ReactionResult> group);
+  std::size_t ApplySends(std::vector<Message> sends);
+
+  // --- parallel engine -------------------------------------------------
 
   // holdback_size() without taking mutex_ (receive-path internal use).
   [[nodiscard]] std::size_t HoldbackSizeLocked() const;
@@ -531,7 +537,7 @@ class AgentServer {
   // Channel/commit side: hands one delivered message to its shard lane.
   // Caller holds mutex_ and has already persisted the qin/ entry.
   void DispatchReaction(InEntry entry);
-  // Worker side: runs React without server locks, queues the result.
+  // Worker side: runs ReactTo, queues the result.
   void RunReaction(std::size_t shard, InEntry entry);
   // Reactions the commit stage should wait for before scheduling, given
   // the store's observed fdatasync latency (1 = commit immediately).
@@ -539,8 +545,7 @@ class AgentServer {
   // Worker side: queues the commit-stage work item (at most one
   // outstanding).
   void ScheduleReactionCommit();
-  // Commit stage: drains completed_reactions_, assigns ids, persists
-  // agent images + qin/ erases + stamped sends in one transaction.
+  // Commit stage: drains completed_reactions_ into CommitReactionGroup.
   std::size_t CommitReactions();
   // Routes a locally addressed message into the engine: persists the
   // qin/ entry then either dispatches to a shard (parallel) or appends
@@ -554,12 +559,10 @@ class AgentServer {
   void StoreDelete(std::string_view key);
   void PersistMeta();
   void PersistClocks(bool force);
-  void PersistAgent(std::uint32_t local_id);
   // Per-entry queue writes, staged into the current transaction.
   void PersistOutEntry(const OutEntry& entry);
   void EraseOutEntry(const OutEntry& entry);
   void PersistInEntry(const InEntry& entry);
-  void EraseInEntry(const InEntry& entry);
   void PersistHeldFrame(const DomainItem& item, const HeldFrame& held,
                         std::uint64_t arrival_seq);
   void EraseHeldFrame(const DomainItem& item, MessageId id);

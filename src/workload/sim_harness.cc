@@ -11,8 +11,6 @@ mom::AgentServerOptions SimHarness::ServerOptions() {
       options_.simulate_processing_costs ? &options_.cost_model : nullptr;
   server_options.trace = &trace_;
   server_options.retransmit_timeout_ns = options_.retransmit_timeout_ns;
-  server_options.max_retransmit_attempts = options_.max_retransmit_attempts;
-  server_options.engine_batch = options_.engine_batch;
   server_options.engine_workers = options_.engine_workers;
   server_options.flow = options_.flow;
   return server_options;

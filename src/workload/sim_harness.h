@@ -39,11 +39,6 @@ struct SimHarnessOptions {
   net::FaultModel fault_model{};
   std::uint64_t fault_seed = 1;
   std::uint64_t retransmit_timeout_ns = 500ull * 1000 * 1000;
-  // 0 = retry forever (the default, matching the reliable bus).
-  std::uint32_t max_retransmit_attempts = 0;
-  // Engine batching limit, forwarded to every server (see
-  // AgentServerOptions).
-  std::size_t engine_batch = 16;
   // Forwarded to AgentServerOptions::engine_workers.  Under SimRuntime
   // the executor request resolves to nullptr, so any value keeps the
   // inline engine and bit-identical traces -- the knob exists here so

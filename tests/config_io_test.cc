@@ -220,6 +220,25 @@ TEST(ConfigIo, TrafficProfileParsing) {
   EXPECT_DOUBLE_EQ(repeated.value().at(0, 1), 10);
 }
 
+TEST(ConfigIo, TrafficProfileRefusesIdsAtOrAboveTheBound) {
+  // The largest id sizes a dense (id + 1)^2 matrix: 65535 alone would
+  // ask for 32 GiB.  Refused, naming the line, before that allocation.
+  auto huge = ParseTrafficProfile("# big\n0 1 5\n65535 0 1\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge.status().message().find("line 3"), std::string::npos)
+      << huge.status();
+  EXPECT_FALSE(ParseTrafficProfile("0 65535 1\n").ok());
+  const std::string bound = std::to_string(kMaxTrafficProfileServers);
+  EXPECT_FALSE(ParseTrafficProfile(bound + " 0 1\n").ok());
+  EXPECT_FALSE(ParseTrafficProfile("0 " + bound + " 1\n").ok());
+  // The largest id under the bound still parses.
+  const std::string last = std::to_string(kMaxTrafficProfileServers - 1);
+  auto edge = ParseTrafficProfile(last + " 0 1\n");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge.value().server_count(), kMaxTrafficProfileServers);
+}
+
 TEST(ConfigIo, FileRoundTrip) {
   const auto path =
       (std::filesystem::temp_directory_path() / "cmom_config_io.cfg")

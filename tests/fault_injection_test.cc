@@ -3,8 +3,6 @@
 // down.  Parameterized over fault mixes, topologies and seeds.
 #include <gtest/gtest.h>
 
-#include "common/log.h"
-
 #include "domains/topologies.h"
 #include "workload/agents.h"
 #include "workload/sim_harness.h"
@@ -177,27 +175,6 @@ TEST(FaultInjection, UnlimitedRetransmissionKeepsTrying) {
   EXPECT_EQ(harness.server(ServerId(0)).queue_out_size(), 1u);
   harness.RunUntil(10 * sim::kSecond);
   EXPECT_GE(harness.server(ServerId(0)).stats().retransmissions, 15u);
-}
-
-TEST(FaultInjection, RetransmissionGivesUpAfterConfiguredAttempts) {
-  auto config = domains::topologies::Flat(2);
-  SimHarnessOptions options;
-  options.simulate_processing_costs = false;
-  options.fault_model.drop_probability = 1.0;  // black hole
-  options.retransmit_timeout_ns = 10 * sim::kMillisecond;
-  options.max_retransmit_attempts = 5;
-  SimHarness harness(config, options);
-  ASSERT_TRUE(harness.Init().ok());
-  ASSERT_TRUE(harness.BootAll().ok());
-  ASSERT_TRUE(harness.Send(ServerId(0), 1, ServerId(1), 1, "void").ok());
-  const LogLevel saved = GetLogLevel();
-  SetLogLevel(LogLevel::kOff);  // the give-up error is expected
-  harness.Run();                // terminates: the retry timer chain ends
-  SetLogLevel(saved);
-  EXPECT_EQ(harness.server(ServerId(0)).stats().retransmissions, 5u);
-  // The message stays durably queued (an operator decision point), but
-  // no further timers fire.
-  EXPECT_EQ(harness.server(ServerId(0)).queue_out_size(), 1u);
 }
 
 TEST(FaultInjection, DuplicateFramesAreDroppedByTheClockCheck) {

@@ -29,6 +29,7 @@
 #include "net/runtime.h"
 #include "net/sim_network.h"
 #include "pubsub/queue.h"
+#include "pubsub/topic.h"
 #include "workload/agents.h"
 #include "workload/threaded_harness.h"
 
@@ -593,8 +594,15 @@ constexpr std::uint32_t kQueueLocal = 10;
 constexpr std::uint32_t kWorkerLocal = 11;
 constexpr std::uint32_t kProducerLocal = 12;
 
-TEST(FlowEndToEnd, BoundedQueueOverflowsToPersistentDeadLetters) {
-  workload::ThreadedHarness harness(domains::topologies::Flat(2));
+// Run under both engine dispatch modes (the parameter is
+// engine_workers): dead letters commit through the one reaction
+// pipeline, so inline and sharded must leave the same dlq/ records.
+class FlowDeadLetters : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FlowDeadLetters, BoundedQueueOverflowsToPersistentDeadLetters) {
+  workload::ThreadedHarnessOptions options;
+  options.engine_workers = GetParam();
+  workload::ThreadedHarness harness(domains::topologies::Flat(2), options);
   pubsub::QueueAgent* queue = nullptr;
   workload::SinkAgent* worker = nullptr;
   ASSERT_TRUE(harness
@@ -615,14 +623,16 @@ TEST(FlowEndToEnd, BoundedQueueOverflowsToPersistentDeadLetters) {
   ASSERT_TRUE(harness.BootAll().ok());
 
   const AgentId queue_id{ServerId(0), kQueueLocal};
+  const AgentId producer{ServerId(1), kProducerLocal};
   // No consumer listening: the first two puts buffer, the rest dead-
   // letter.  Every put is still accepted by the bus (exactly-once
   // delivery to the queue agent); shedding is the agent's decision.
+  std::vector<MessageId> puts;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(pubsub::Put(harness.server(ServerId(1)),
-                            AgentId{ServerId(1), kProducerLocal}, queue_id,
-                            "task" + std::to_string(i))
-                    .ok());
+    auto put = pubsub::Put(harness.server(ServerId(1)), producer, queue_id,
+                           "task" + std::to_string(i));
+    ASSERT_TRUE(put.ok());
+    puts.push_back(put.value());
   }
   harness.WaitQuiescent();
   harness.HaltAll();
@@ -630,27 +640,48 @@ TEST(FlowEndToEnd, BoundedQueueOverflowsToPersistentDeadLetters) {
   ASSERT_NE(queue, nullptr);
   EXPECT_EQ(queue->buffered(), 2u);
   EXPECT_EQ(queue->dead_lettered(), 3u);
-  EXPECT_EQ(harness.server(ServerId(0)).stats().dead_letters, 3u);
+  const mom::ServerStats stats = harness.server(ServerId(0)).stats();
+  EXPECT_EQ(stats.dead_letters, 3u);
   EXPECT_EQ(harness.server(ServerId(0)).flow_status().dead_letters, 3u);
+  // The reactions really ran in the mode under test.
+  if (GetParam() == 0) {
+    EXPECT_GT(stats.engine_batch_hist.count, 0u);
+    EXPECT_EQ(stats.group_commit_hist.count, 0u);
+  } else {
+    EXPECT_EQ(stats.engine_batch_hist.count, 0u);
+    EXPECT_GT(stats.group_commit_hist.count, 0u);
+  }
 
-  // The records are durable, sequenced, and carry the shed message.
+  // The records are durable, sequenced from 1 in the order the puts
+  // were shed, and carry the shed message.
   mom::Store* store = harness.StoreOf(ServerId(0));
   ASSERT_NE(store, nullptr);
   const auto keys = store->Keys(flow::kDeadLetterKeyPrefix);
   ASSERT_EQ(keys.size(), 3u);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    std::uint64_t seq = 0;
-    ASSERT_TRUE(flow::ParseDeadLetterKey(keys[i], seq));
-    EXPECT_EQ(seq, i + 1);  // dlq/ sequence starts at 1
+    EXPECT_EQ(keys[i], flow::DeadLetterKey(i + 1));
     auto bytes = store->Get(keys[i]);
     ASSERT_TRUE(bytes.has_value());
     auto record = flow::DeadLetterRecord::Deserialize(*bytes);
     ASSERT_TRUE(record.ok());
-    EXPECT_EQ(record.value().subject, pubsub::kQueuePut);
-    EXPECT_FALSE(record.value().reason.empty());
-    EXPECT_EQ(record.value().to, queue_id);
+    flow::DeadLetterRecord expected;
+    expected.reason = "queue depth limit";
+    expected.id = puts[2 + i];
+    expected.from = producer;
+    expected.to = queue_id;
+    expected.subject = pubsub::kQueuePut;
+    expected.payload =
+        pubsub::EncodePublishPayload("task" + std::to_string(2 + i), {});
+    EXPECT_EQ(record.value(), expected) << keys[i];
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, FlowDeadLetters,
+    ::testing::Values(std::size_t{0}, std::size_t{2}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "workers" + std::to_string(info.param);
+    });
 
 TEST(FlowEndToEnd, DeadLetterCountSurvivesCrashAndSequenceContinues) {
   workload::ThreadedHarness harness(domains::topologies::Flat(2));

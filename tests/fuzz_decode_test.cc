@@ -116,7 +116,7 @@ TEST_P(DecodeFuzz, ConfigParserNeverCrashes) {
                              "stamp_mode", "updates", "full", "#",
                              "allow_cyclic", "true", "\n", "x", "-1",
                              "causal_core", "matrix", "hybrid", "reduced",
-                             "65536", "18446744073709551615"};
+                             "65535", "65536", "18446744073709551615"};
   for (int round = 0; round < 200; ++round) {
     std::string text;
     const std::size_t pieces = rng.NextBelow(30);

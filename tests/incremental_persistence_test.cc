@@ -8,6 +8,8 @@
 #include <map>
 #include <string>
 
+#include "control/epoch.h"
+#include "domains/config_io.h"
 #include "domains/topologies.h"
 #include "workload/agents.h"
 #include "workload/sim_harness.h"
@@ -125,6 +127,33 @@ TEST(IncrementalPersistence, RetiredFullImageStoreIsRefusedAtBoot) {
     EXPECT_EQ(store.commit_count(), commits);
     EXPECT_EQ(Contents(store), before);
   }
+}
+
+TEST(IncrementalPersistence, StoreOfAnotherEpochIsRefusedBeforeAnyWrite) {
+  // A store the control plane stamped epoch 7 must not boot an epoch-0
+  // server, and the refusal must leave it untouched: not even the
+  // incarnation bump may be committed.
+  SimHarness harness(Flat(2), FastOptions());
+  ASSERT_TRUE(harness.Init().ok());
+  ASSERT_TRUE(harness.BootAll().ok());
+  ASSERT_TRUE(harness.Send(ServerId(0), 1, ServerId(1), 1, "a").ok());
+  harness.Run();
+
+  harness.Crash(ServerId(1));
+  mom::InMemoryStore& store = harness.store(ServerId(1));
+  control::EpochRecord record;
+  record.epoch = 7;
+  record.config_text = domains::FormatMomConfig(Flat(2));
+  store.Put(control::kEpochCurrentKey, control::EncodeEpochRecord(record));
+  ASSERT_TRUE(store.Commit().ok());
+  const auto before = Contents(store);
+  const std::uint64_t commits = store.commit_count();
+
+  const Status boot = harness.Restart(ServerId(1));
+  EXPECT_EQ(boot.code(), StatusCode::kFailedPrecondition) << boot;
+  EXPECT_NE(boot.message().find("epoch 7"), std::string::npos) << boot;
+  EXPECT_EQ(store.commit_count(), commits);
+  EXPECT_EQ(Contents(store), before);
 }
 
 TEST(IncrementalPersistence, DrainedBusLeavesNoQueueKeysBehind) {
